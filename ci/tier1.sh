@@ -331,6 +331,11 @@ print(f"BENCH_chaos.json OK ({len(c['metrics'])} metrics)")
 EOF
 python3 ci/perf_gate.py
 
+echo "== unused-pub report (informational, never fails the build) =="
+# Public fns/types/consts in library crates with no user outside their
+# defining file except tests: candidates for deletion, not a gate.
+python3 ci/unused_pub.py || true
+
 echo "== clippy (deny warnings, deny deprecated) =="
 # -D deprecated keeps the repo itself off any deprecated API (the last
 # holder, the integrate_with_stats shim, is gone) while external callers

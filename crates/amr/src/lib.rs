@@ -9,7 +9,8 @@
 //!   Morton space-filling curve);
 //! * [`fab`] — `FArrayBox` dense arrays and the `Array4` kernel views;
 //! * [`multifab`] — the distributed field container, ghost-zone exchange
-//!   with communication tracing, physical boundary conditions, reductions;
+//!   with communication tracing, the [`HaloGraph`] step-graph skeleton the
+//!   drivers share, physical boundary conditions, reductions;
 //! * [`interp`] — conservative prolongation and restriction;
 //! * [`mod@cluster`] — error tagging → grid generation (Berger–Rigoutsos style);
 //! * [`hierarchy`] — multi-level meshes, regridding, `fill_patch`;
@@ -41,7 +42,9 @@ pub use geometry::{CoordSys, Geometry};
 pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
 pub use io::{read_checkpoint, write_checkpoint, Checkpoint, IoError};
-pub use multifab::{apply_physical_bc, BcKind, BcSpec, CommTrace, Message, MultiFab, PendingComm};
+pub use multifab::{
+    BcKind, BcSpec, CommTrace, HaloDep, HaloGraph, HaloStage, Message, MultiFab, PendingComm,
+};
 
 // Re-export the index primitives so downstream crates have one import path.
 pub use exastro_parallel::{IndexBox, IntVect, Real, SPACEDIM};

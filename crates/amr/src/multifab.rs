@@ -15,7 +15,7 @@ use crate::fab::{Array4Mut, FArrayBox};
 use crate::geometry::Geometry;
 use exastro_parallel::{
     par_each_mut, par_each_mut_bounded, par_index_each, par_map_fold, IndexBox, IntVect, Profiler,
-    Real, WorkerPool, SPACEDIM,
+    Real, TaskClass, TaskGraph, TaskLabel, WorkerPool, SPACEDIM,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -75,20 +75,19 @@ struct GhostOp {
 /// An in-flight ghost exchange: the first phase of the two-phase comm API.
 ///
 /// Produced by [`MultiFab::post_fill_boundary`] (planned **and** packed — the
-/// MPI-isend analogue) or [`MultiFab::plan_fill_boundary`] (planned only, for
-/// task-graph callers that stage packing as tasks). Carries the partial
-/// [`CommTrace`], priced at planning time: the exchange pattern depends only
-/// on the box layout, so the trace is complete before any data moves and is
-/// byte-identical to the bulk-synchronous trace.
+/// MPI-isend analogue) or, planned only, inside a [`HaloGraph`], which stages
+/// packing and unpacking as tasks. Carries the partial [`CommTrace`], priced
+/// at planning time: the exchange pattern depends only on the box layout, so
+/// the trace is complete before any data moves and is byte-identical to the
+/// bulk-synchronous trace.
 ///
 /// Completion paths:
 /// * [`PendingComm::wait`] — pack anything still pending, unpack every ghost
 ///   region into the target multifab, return the trace. `post` + `wait` is
-///   exactly the old one-shot `fill_boundary`.
-/// * [`PendingComm::pack_op`] / [`PendingComm::unpack_fab`] +
-///   [`PendingComm::finish`] — per-task staging for the graph scheduler:
-///   pack ops and per-fab unpacks become graph nodes with ghost-exchange
-///   edges, and `finish` returns the trace once every op has completed.
+///   exactly the one-shot `fill_boundary`.
+/// * [`HaloGraph::run`] — pack ops and per-fab unpacks become graph nodes
+///   with ghost-exchange edges, and the trace is returned once every op has
+///   completed.
 ///
 /// Buffers are individually locked so graph tasks can pack/unpack disjoint
 /// ops concurrently; per-destination unpacks apply ops in planning order, so
@@ -107,16 +106,6 @@ pub struct PendingComm {
 }
 
 impl PendingComm {
-    /// Number of planned copy ops.
-    pub fn nops(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `(src fab, dst fab)` of op `o` — the graph builder's edge endpoints.
-    pub fn op_endpoints(&self, o: usize) -> (usize, usize) {
-        (self.ops[o].src, self.ops[o].dst)
-    }
-
     /// The partial trace carried by this exchange (complete at post time).
     pub fn trace(&self) -> &CommTrace {
         &self.trace
@@ -125,7 +114,7 @@ impl PendingComm {
     /// Pack op `o`'s buffer by reading source-fab data through `read`
     /// (`read(iv, c)` must return fab `src`'s value at `iv`, a *valid* zone
     /// of the source box). Safe to call concurrently for distinct ops.
-    pub fn pack_op<F: Fn(IntVect, usize) -> Real>(&self, o: usize, read: F) {
+    fn pack_op<F: Fn(IntVect, usize) -> Real>(&self, o: usize, read: F) {
         let op = &self.ops[o];
         let mut buf = self.bufs[o].lock().unwrap();
         buf.clear();
@@ -141,7 +130,7 @@ impl PendingComm {
     /// `write(iv, c, value)`. All of the fab's incoming ops must already be
     /// packed (the graph's ghost-exchange edges guarantee it). Safe to call
     /// concurrently for distinct fabs.
-    pub fn unpack_fab<F: FnMut(IntVect, usize, Real)>(&self, fab_index: usize, mut write: F) {
+    fn unpack_fab<F: FnMut(IntVect, usize, Real)>(&self, fab_index: usize, mut write: F) {
         for &oi in &self.per_dst[fab_index] {
             debug_assert!(
                 self.packed[oi].load(Ordering::Acquire),
@@ -189,12 +178,184 @@ impl PendingComm {
     /// Complete a fully staged exchange (every op packed and unpacked by
     /// graph tasks) and return the trace.
     #[must_use = "the CommTrace prices this exchange in the machine model; merge it into the step trace"]
-    pub fn finish(self) -> CommTrace {
+    fn finish(self) -> CommTrace {
         debug_assert!(
             self.packed.iter().all(|p| p.load(Ordering::Acquire)),
             "finish() with unpacked ops: the graph missed pack tasks"
         );
         self.trace
+    }
+}
+
+/// A same-fab dependency of a [`HaloStage`] task.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HaloDep {
+    /// The fab's `pack` task, which reads the fab's pre-step valid zones.
+    Pack,
+    /// The fab's `unpack` task, after which its ghosts are filled.
+    Unpack,
+    /// The fab's task in an earlier compute stage (index into the stages).
+    Stage(usize),
+}
+
+/// One per-fab compute stage of a [`HaloGraph`]: the span-name prefix of
+/// its tasks and the same-fab tasks each one waits on, in edge order.
+#[derive(Clone, Copy, Debug)]
+pub struct HaloStage {
+    /// Task-name prefix (`"{name}.f{fab}"`).
+    pub name: &'static str,
+    /// Same-fab predecessors.
+    pub after: &'static [HaloDep],
+}
+
+/// What task `t` of a [`HaloGraph`] does.
+enum HaloTask {
+    Pack(usize),
+    Unpack(usize),
+    Stage(usize, usize),
+    Barrier,
+}
+
+/// The ghost-exchange step graph both drivers build on: one
+/// [`TaskGraph`] per exchange, with the exchange itself staged as tasks and
+/// the driver's per-fab compute stages hung off it.
+///
+/// Task ids by block (`n` = number of fabs, `S` = number of stages):
+///
+/// | task            | id              | work                                  | depends on                    |
+/// |-----------------|-----------------|---------------------------------------|-------------------------------|
+/// | `pack f`        | `f`             | pack every op with src = f            | —                             |
+/// | `unpack f`      | `n + f`         | unpack f's ghosts, physical BC        | `pack s` for each sender s    |
+/// | `{stage}.f`     | `(2 + s) n + f` | the driver's stage `s` on fab f       | the stage's [`HaloDep`]s      |
+/// | `barrier`       | `(2 + S) n`     | nothing (bulk-synchronous mode only)  | every `unpack`                |
+///
+/// With `overlap` the graph is *free*: a stage-0 task with no dependencies
+/// runs while halos are in flight. Without it, one no-op barrier task waits
+/// on every unpack and gates every stage-0 task — bulk-synchronous stepping
+/// as `2n` extra edges on the same graph, not a second code path. Both
+/// schedules compute the same arithmetic into disjoint slots, so they are
+/// bit-identical.
+pub struct HaloGraph {
+    pending: PendingComm,
+    graph: TaskGraph,
+    packs_of: Vec<Vec<usize>>,
+    stages: &'static [HaloStage],
+    nfabs: usize,
+}
+
+impl HaloGraph {
+    /// Plan `mf`'s ghost exchange and build its graph: pack and unpack
+    /// tasks with sender edges, then `stages`, then (unless `overlap`) the
+    /// barrier.
+    pub fn new(
+        mf: &MultiFab,
+        geom: &Geometry,
+        stages: &'static [HaloStage],
+        overlap: bool,
+    ) -> Self {
+        let n = mf.nfabs();
+        let pending = mf.plan_fill_boundary(geom);
+        let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (o, op) in pending.ops.iter().enumerate() {
+            packs_of[op.src].push(o);
+            senders_of[op.dst].push(op.src);
+        }
+        let mut g = TaskGraph::new();
+        for _ in 0..n {
+            g.add_task();
+        }
+        for senders in &mut senders_of {
+            senders.sort_unstable();
+            senders.dedup();
+            g.add_task_after(senders);
+        }
+        for stage in stages {
+            for f in 0..n {
+                let after: Vec<usize> = stage
+                    .after
+                    .iter()
+                    .map(|d| match *d {
+                        HaloDep::Pack => f,
+                        HaloDep::Unpack => n + f,
+                        HaloDep::Stage(s) => (2 + s) * n + f,
+                    })
+                    .collect();
+                g.add_task_after(&after);
+            }
+        }
+        if !overlap && n > 0 {
+            let barrier = g.add_task_after(&(n..2 * n).collect::<Vec<_>>());
+            for f in 0..n {
+                g.add_edge(barrier, 2 * n + f);
+            }
+        }
+        HaloGraph {
+            pending,
+            graph: g,
+            packs_of,
+            stages,
+            nfabs: n,
+        }
+    }
+
+    fn task(&self, t: usize) -> HaloTask {
+        let n = self.nfabs;
+        if t >= (2 + self.stages.len()) * n {
+            return HaloTask::Barrier;
+        }
+        match (t / n, t % n) {
+            (0, f) => HaloTask::Pack(f),
+            (1, f) => HaloTask::Unpack(f),
+            (k, f) => HaloTask::Stage(k - 2, f),
+        }
+    }
+
+    /// Run the graph on the global pool under `label` and return the
+    /// exchange's trace. Pack tasks read fab f's valid zones through
+    /// `views[f]`; unpack tasks write its ghosts there and apply `bc`;
+    /// `compute(stage, f)` runs every stage task.
+    pub fn run<F: Fn(usize, usize) + Sync>(
+        self,
+        label: &str,
+        views: &[Array4Mut<'_>],
+        geom: &Geometry,
+        bc: &BcSpec,
+        compute: F,
+    ) -> CommTrace {
+        assert_eq!(views.len(), self.nfabs, "one exchange view per fab");
+        let pend = &self.pending;
+        self.graph
+            .run_labeled(
+                WorkerPool::global(),
+                self.nfabs.max(1),
+                label,
+                |t| match self.task(t) {
+                    HaloTask::Pack(f) => TaskLabel::new(format!("pack.f{f}"), TaskClass::Comm),
+                    HaloTask::Unpack(f) => TaskLabel::new(format!("unpack.f{f}"), TaskClass::Comm),
+                    HaloTask::Stage(s, f) => {
+                        TaskLabel::new(format!("{}.f{f}", self.stages[s].name), TaskClass::Compute)
+                    }
+                    HaloTask::Barrier => TaskLabel::new("barrier", TaskClass::Other),
+                },
+                |t| match self.task(t) {
+                    HaloTask::Pack(f) => {
+                        let v = &views[f];
+                        for &o in &self.packs_of[f] {
+                            pend.pack_op(o, |iv, c| v.at(iv.x(), iv.y(), iv.z(), c));
+                        }
+                    }
+                    HaloTask::Unpack(f) => {
+                        let v = &views[f];
+                        pend.unpack_fab(f, |iv, c, x| v.set(iv.x(), iv.y(), iv.z(), c, x));
+                        apply_physical_bc(v, geom, bc);
+                    }
+                    HaloTask::Stage(s, f) => compute(s, f),
+                    HaloTask::Barrier => {}
+                },
+            )
+            .expect("halo graph is a DAG by construction");
+        self.pending.finish()
     }
 }
 
@@ -444,11 +605,10 @@ impl MultiFab {
     /// ops, allocate (empty) pack buffers, and price the traffic. The
     /// returned [`PendingComm`] carries the partial [`CommTrace`].
     ///
-    /// This is the entry point for task-graph callers that stage
-    /// [`PendingComm::pack_op`] / [`PendingComm::unpack_fab`] as graph
-    /// tasks; plain two-phase callers want [`MultiFab::post_fill_boundary`].
+    /// [`HaloGraph`] stages the planned ops as graph tasks; plain two-phase
+    /// callers want [`MultiFab::post_fill_boundary`].
     #[must_use = "the plan holds the exchange state; wait() or finish() it"]
-    pub fn plan_fill_boundary(&self, geom: &Geometry) -> PendingComm {
+    fn plan_fill_boundary(&self, geom: &Geometry) -> PendingComm {
         let _prof = Profiler::region("fill_boundary");
         let mut ops = Vec::new();
         if self.ngrow > 0 {
@@ -663,15 +823,15 @@ impl MultiFab {
 }
 
 /// Apply physical boundary conditions to one fab through a kernel view —
-/// the per-fab body of [`MultiFab::fill_physical_bc`], exposed so task-graph
-/// unpack tasks can fold the physical fill into their own node (disjoint
-/// slots: each fab's BC only touches that fab's ghost zones).
+/// the per-fab body of [`MultiFab::fill_physical_bc`], shared with the
+/// [`HaloGraph`] unpack tasks, which fold the physical fill into their own
+/// node (disjoint slots: each fab's BC only touches that fab's ghost zones).
 ///
 /// Within one fab the writes are ordered (corner ghosts read zones filled by
 /// an earlier dimension's pass), so a task must call this serially, after
 /// the fab's ghost ops are unpacked — the same ordering the bulk-synchronous
 /// path uses.
-pub fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
+fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
     let gbox = arr.index_box();
     let ncomp = arr.ncomp();
     let domain = geom.domain();
@@ -923,30 +1083,55 @@ mod tests {
 
     #[test]
     fn plan_then_staged_pack_unpack_matches_one_shot() {
-        let geom = periodic_geom(16);
-        let ba = BoxArray::decompose(geom.domain(), 8, 8);
-        let mut sync = MultiFab::local(ba.clone(), 2, 2);
-        fill_linear(&mut sync);
-        let mut staged = sync.clone();
-        let t1 = sync.fill_boundary(&geom);
-        // Stage every op by hand, the way graph tasks do, then finish.
-        let pending = staged.plan_fill_boundary(&geom);
-        assert!(pending.nops() > 0);
-        for o in 0..pending.nops() {
-            let (src, _dst) = pending.op_endpoints(o);
-            let sfab = staged.fab(src);
-            pending.pack_op(o, |iv, c| sfab.get(iv, c));
+        // Staged through the halo graph, free and with the barrier, the
+        // exchange plus physical BC fills exactly what the one-shot calls do.
+        const STAGES: [HaloStage; 2] = [
+            HaloStage {
+                name: "a",
+                after: &[],
+            },
+            HaloStage {
+                name: "b",
+                after: &[HaloDep::Unpack, HaloDep::Stage(0)],
+            },
+        ];
+        let bc = BcSpec::outflow();
+        for geom in [periodic_geom(16), Geometry::cube(16, 1.0, false)] {
+            let ba = BoxArray::decompose(geom.domain(), 8, 8);
+            let mut reference = MultiFab::local(ba, 2, 2);
+            fill_linear(&mut reference);
+            let mut free_edges = 0;
+            for overlap in [true, false] {
+                let mut mf = reference.clone();
+                let n = mf.nfabs();
+                let halo = HaloGraph::new(&mf, &geom, &STAGES, overlap);
+                assert!(!halo.pending.ops.is_empty());
+                if overlap {
+                    assert_eq!(halo.graph.len(), 4 * n);
+                    free_edges = halo.graph.num_edges();
+                } else {
+                    // One barrier task: n edges in from the unpacks, n out to
+                    // the first stage.
+                    assert_eq!(halo.graph.len(), 4 * n + 1);
+                    assert_eq!(halo.graph.num_edges(), free_edges + 2 * n);
+                }
+                let ran = std::sync::atomic::AtomicUsize::new(0);
+                let views = mf.fab_views_mut();
+                let trace = halo.run("test.halo", &views, &geom, &bc, |_, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+                drop(views);
+                assert_eq!(ran.into_inner(), 2 * n);
+                let mut one_shot = reference.clone();
+                let t = one_shot.fill_boundary(&geom);
+                one_shot.fill_physical_bc(&geom, &bc);
+                for i in 0..n {
+                    assert_eq!(one_shot.fab(i).data(), mf.fab(i).data(), "fab {i}");
+                }
+                assert_eq!(t.messages, trace.messages);
+                assert_eq!(t.local_bytes, trace.local_bytes);
+            }
         }
-        for fi in 0..staged.nfabs() {
-            let arr = staged.fab_mut(fi).array_mut();
-            pending.unpack_fab(fi, |iv, c, v| arr.set(iv[0], iv[1], iv[2], c, v));
-        }
-        let t2 = pending.finish();
-        for i in 0..sync.nfabs() {
-            assert_eq!(sync.fab(i).data(), staged.fab(i).data(), "fab {i}");
-        }
-        assert_eq!(t1.messages, t2.messages);
-        assert_eq!(t1.local_bytes, t2.local_bytes);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The paper's refactor made every kernel embarrassingly parallel by
 //! recomputing slopes redundantly instead of staging them; this cut the
 //! memory footprint enough to speed the code up *even on CPUs*. Here both
-//! structures run the identical Sedov sweep: Criterion reports real
+//! structures run the identical Sedov sweep as task bodies of the same
+//! overlapped step graph: Criterion reports real
 //! wall-clock, and the simulated device reports the modelled GPU times
 //! (where the staged variant's extra traffic and the flat variant's
 //! occupancy advantage are priced).

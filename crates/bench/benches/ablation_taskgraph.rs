@@ -7,10 +7,11 @@
 //!   overlapped exchange (deterministic machine model — gated in CI);
 //! * the *measured* per-task scheduling overhead of [`TaskGraph::run`]
 //!   on a no-op graph (what the model charges as `scheduler_overhead_us`);
-//! * the *measured* wall-clock of a real graph-overlapped Castro advance
-//!   against the same advance run bulk-synchronously — bit-identical
-//!   results (asserted in `castro`'s tests), so any wall-clock difference
-//!   is pure scheduling.
+//! * the *measured* wall-clock of a real Castro advance on the free graph
+//!   against the same advance on the barrier graph (`overlap = false`:
+//!   every unpack before any interior). Both run the same tasks on the
+//!   same pool with bit-identical results (asserted in `castro`'s tests),
+//!   so the ratio isolates the overlap itself, not thread parallelism.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exastro_bench::{bench_castro, sedov_fixture, write_metrics_json, MetricPoint};
@@ -57,8 +58,9 @@ fn print_ablation() {
     let overhead = scheduler_overhead_us();
     println!("measured scheduler overhead: {overhead:.3} µs/task ({PROBE_TASKS}-task probe)");
 
-    // Real advance, both paths, identical physics (bit-identity is
-    // asserted in the castro test suite; here we only time it).
+    // Real advance, barrier graph vs free graph, identical physics
+    // (bit-identity is asserted in the castro test suite; here we only
+    // time it).
     let (geom, state, _layout, eos, net) = sedov_fixture(32, 8);
     let mut castro_sync = bench_castro(&eos, &net, KernelStructure::Flat);
     castro_sync.hydro.overlap = false;
@@ -80,7 +82,7 @@ fn print_ablation() {
     let us_ovl = time_advance(&castro_ovl);
     let wall_speedup = us_sync / us_ovl;
     println!(
-        "measured 32³ Sedov advance: sync {us_sync:.0} µs, overlapped {us_ovl:.0} µs \
+        "measured 32³ Sedov advance: barrier graph {us_sync:.0} µs, free graph {us_ovl:.0} µs \
          ({wall_speedup:.2}×)"
     );
 

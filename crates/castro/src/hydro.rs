@@ -13,23 +13,31 @@
 //!   paper found this faster even on CPUs, "due largely to decreasing the
 //!   memory footprint".)
 //!
-//! Both paths produce bitwise-identical fluxes (a test asserts this).
-//! All scratch storage is drawn from an [`Arena`], so the pool-allocator
-//! ablation measures exactly the allocation churn this module generates.
+//! Both structures produce bitwise-identical fluxes (a test asserts this).
+//! They are two task bodies inside the same step graph, not two code
+//! paths. All scratch storage is drawn from an [`Arena`], so the
+//! pool-allocator ablation measures exactly the allocation churn this
+//! module generates.
 //!
 //! ## Communication overlap
 //!
 //! Each sweep's faces split into an **interior** set, whose 4-zone stencil
 //! lies entirely in valid data, and a **boundary band** (the outermost two
 //! face layers per side along the sweep dimension), which reads ghost
-//! zones. With [`Hydro::overlap`] set, a sweep runs as a dependency graph
-//! on the worker pool ([`TaskGraph`]): ghost packs are posted through the
-//! two-phase [`MultiFab::plan_fill_boundary`] API, interior kernels run
-//! with nothing to wait for, and band kernels fire per box as soon as that
-//! box's ghosts have been unpacked. The schedule is free to reorder; the
-//! results are bit-identical to the bulk-synchronous path because every
-//! task writes disjoint slots and every face computes the same arithmetic
-//! on the same inputs (a test digests both paths).
+//! zones. Every sweep runs as one dependency graph on the worker pool,
+//! built on the shared [`HaloGraph`] skeleton: ghost packs and unpacks are
+//! tasks, `interior` kernels have nothing to wait for, and `band` kernels
+//! fire per box as soon as that box's ghosts have been unpacked. Legacy is
+//! a body variant of the same tasks: `interior` computes primitives on the
+//! valid box, and `band` stages slopes over the valid box grown by one
+//! along the sweep and computes every face flux.
+//!
+//! [`Hydro::overlap`] only chooses the edges. Bulk-synchronous stepping is
+//! the same graph plus one no-op barrier task that waits on every unpack
+//! and gates every `interior`. The schedule is free to reorder; the results
+//! are bit-identical either way because every task writes disjoint slots
+//! and every face computes the same arithmetic on the same inputs (tests
+//! digest both).
 //!
 //! Castro proper uses an unsplit corner-transport-upwind scheme with PPM;
 //! the dimensional splitting used here is a documented simplification
@@ -39,12 +47,11 @@
 use crate::riemann::hllc;
 use crate::state::{cons_to_prim, Floors, Primitive, StateLayout};
 use exastro_amr::{
-    apply_physical_bc, Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, IndexBox, IntVect,
-    MultiFab,
+    Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, HaloDep, HaloGraph, HaloStage, IndexBox,
+    IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{Arena, ExecSpace, KernelProfile, Real, TaskGraph, WorkerPool};
-use exastro_telemetry::{TaskClass, TaskLabel};
+use exastro_parallel::{Arena, ExecSpace, KernelProfile, Real};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,10 +83,10 @@ pub struct Hydro {
     pub cfl: Real,
     /// Kernel structure (see module docs).
     pub structure: KernelStructure,
-    /// Overlap ghost exchange with interior compute via the task-graph
-    /// scheduler. Only the [`KernelStructure::Flat`] kernels support it
-    /// (the legacy slope staging reads ghosts up front); with `Legacy`
-    /// the sweep silently falls back to the bulk-synchronous path.
+    /// Overlap ghost exchange with interior compute. Every sweep runs as
+    /// the same task graph for either structure; `false` adds the barrier
+    /// that makes every unpack finish before any interior kernel starts
+    /// (bulk-synchronous stepping, bit-identical results).
     pub overlap: bool,
     /// State floors.
     pub floors: Floors,
@@ -109,7 +116,7 @@ pub struct SweepFluxes {
 
 /// The full face box of `vb` along `dim`: every valid zone's low face plus
 /// one extra layer for the last zone's high face.
-pub fn face_box(vb: IndexBox, dim: usize) -> IndexBox {
+fn face_box(vb: IndexBox, dim: usize) -> IndexBox {
     let mut hi = vb.hi();
     hi[dim] += 1;
     IndexBox::new(vb.lo(), hi)
@@ -118,7 +125,7 @@ pub fn face_box(vb: IndexBox, dim: usize) -> IndexBox {
 /// The faces of `vb` along `dim` whose reconstruction stencil (zones
 /// `iv − 2e .. iv + e`) lies entirely in valid data: `iv_d ∈ [lo+2, hi−1]`.
 /// `None` when the box is too narrow (< 4 zones) to have any.
-pub fn interior_faces(vb: IndexBox, dim: usize) -> Option<IndexBox> {
+fn interior_faces(vb: IndexBox, dim: usize) -> Option<IndexBox> {
     let mut lo = vb.lo();
     let mut hi = vb.hi();
     lo[dim] += 2;
@@ -130,7 +137,7 @@ pub fn interior_faces(vb: IndexBox, dim: usize) -> Option<IndexBox> {
 /// stencil reads ghost zones. Up to two boxes (low side, high side),
 /// clipped so that together with [`interior_faces`] they tile
 /// [`face_box`] disjointly for any box width (including 1–3 zone boxes).
-pub fn band_faces(vb: IndexBox, dim: usize) -> Vec<IndexBox> {
+fn band_faces(vb: IndexBox, dim: usize) -> Vec<IndexBox> {
     let (l, h) = (vb.lo()[dim], vb.hi()[dim]);
     let mut out = Vec::with_capacity(2);
     // Low band: faces lo and lo+1, clipped to the face box.
@@ -150,7 +157,7 @@ pub fn band_faces(vb: IndexBox, dim: usize) -> Vec<IndexBox> {
 /// The two ghost-zone slabs (2 deep along `dim`, valid extent transverse)
 /// whose primitives the band faces read. Transverse ghosts are *not*
 /// included: a dimensionally split sweep never reads them.
-pub fn ghost_slabs(vb: IndexBox, dim: usize) -> [IndexBox; 2] {
+fn ghost_slabs(vb: IndexBox, dim: usize) -> [IndexBox; 2] {
     let mut llo = vb.lo();
     let mut lhi = vb.hi();
     llo[dim] = vb.lo()[dim] - 2;
@@ -338,110 +345,22 @@ impl Hydro {
         });
     }
 
-    /// One directional sweep over every fab of `state`; ghost zones must be
-    /// filled for `state` on entry. Returns the face fluxes (for flux
-    /// registers) and applies the conservative update.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep(
-        &self,
-        state: &mut MultiFab,
-        dim: usize,
-        dt: Real,
-        geom: &Geometry,
-        layout: &StateLayout,
-        eos: &dyn Eos,
-        species: &[Species],
-        ex: &ExecSpace,
-        arena: &dyn Arena,
-    ) -> SweepFluxes {
-        assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
-        let nq = Q::ncomp(layout.nspec);
-        let ncomp = layout.ncomp();
-        let nflux = ncomp + 1; // + face normal velocity
-        let dtdx = dt / geom.dx()[dim];
-        let mut flux_fabs = Vec::with_capacity(state.nfabs());
-        let profile = flux_kernel_profile(layout.nspec, self.structure);
-
-        for fi in 0..state.nfabs() {
-            let vb = state.valid_box(fi);
-            // Primitives on the valid box grown by 2 (stencil support).
-            let qregion = vb.grow(2);
-            let mut qbuf = arena.alloc(qregion.num_zones() as usize * nq);
-            let face_bx = face_box(vb, dim);
-            let mut flux = FArrayBox::new(face_bx, nflux);
-            {
-                let sarr = state.fab_mut(fi).array_mut();
-                let qarr = Array4Mut::from_slice(&mut qbuf, qregion, nq);
-                self.primitives_region(&sarr, qregion, layout, eos, species, ex, &qarr);
-                let farr = flux.array_mut();
-                match self.structure {
-                    KernelStructure::Flat => {
-                        // Fused: each face recomputes the slopes of its two
-                        // neighbouring zones.
-                        self.flux_region(
-                            face_bx, &qarr, None, &farr, dim, dtdx, layout, ex, &profile,
-                        );
-                    }
-                    KernelStructure::Legacy => {
-                        // Stage limited slopes for every zone in a scratch
-                        // array (extra footprint), then a second loop reads
-                        // them back. Faces touch zones vb ± 1 in the sweep
-                        // dimension.
-                        let e = IntVect::dim_vec(dim);
-                        let sregion = vb.grow_dir(dim, 1);
-                        let mut sbuf = arena.alloc(sregion.num_zones() as usize * nq);
-                        let slarr = Array4Mut::from_slice(&mut sbuf, sregion, nq);
-                        ex.par_for_prof(sregion, &profile, |i, j, k| {
-                            for c in 0..nq {
-                                let vm = qarr.at(i - e.x(), j - e.y(), k - e.z(), c);
-                                let v0 = qarr.at(i, j, k, c);
-                                let vp = qarr.at(i + e.x(), j + e.y(), k + e.z(), c);
-                                slarr.set(i, j, k, c, mc_slope(vm, v0, vp));
-                            }
-                        });
-                        self.flux_region(
-                            face_bx,
-                            &qarr,
-                            Some(&slarr),
-                            &farr,
-                            dim,
-                            dtdx,
-                            layout,
-                            ex,
-                            &profile,
-                        );
-                    }
-                }
-                // Conservative update of the valid zones.
-                self.update_region(vb, &farr, &qarr, &sarr, dim, dtdx, layout, ex, &profile);
-            }
-            flux_fabs.push(flux);
-        }
-        SweepFluxes {
-            fabs: flux_fabs,
-            dim,
-        }
-    }
-
-    /// One directional sweep as a task graph: ghost exchange posted through
-    /// [`MultiFab::plan_fill_boundary`], interior kernels overlapping the
-    /// in-flight halos, band kernels gated per box on that box's unpack.
+    /// One directional sweep as a [`HaloGraph`]: the ghost exchange is
+    /// staged as pack/unpack tasks and the sweep's kernels hang off it as
+    /// three per-fab stages (`n` = number of fabs):
     ///
-    /// Per-box tasks and edges (`n` = number of fabs):
-    ///
-    /// | task        | work                                | depends on            |
-    /// |-------------|-------------------------------------|-----------------------|
-    /// | `pack f`    | pack ops with src = f               | —                     |
-    /// | `unpack f`  | unpack ghosts of f, physical BC     | packs of f's senders  |
-    /// | `interior f`| primitives on valid, interior fluxes| —                     |
-    /// | `band f`    | slab primitives, band fluxes        | `unpack f`,`interior f`|
-    /// | `update f`  | conservative update of f            | `interior f`, `band f`, `pack f` |
+    /// | task        | Flat body                            | Legacy body                                     | depends on                       |
+    /// |-------------|--------------------------------------|-------------------------------------------------|----------------------------------|
+    /// | `interior f`| primitives on valid, interior fluxes | primitives on valid                             | — (the barrier if not `overlap`) |
+    /// | `band f`    | slab primitives, band fluxes         | slab primitives, staged slopes, every face flux | `unpack f`, `interior f`         |
+    /// | `update f`  | conservative update of f             | conservative update of f                        | `interior f`, `band f`, `pack f` |
     ///
     /// `update f` waits on `pack f` because the pack reads f's valid zones;
     /// the ghost-exchange buffers must capture pre-update data exactly as
-    /// an MPI isend would.
+    /// an MPI isend would. Legacy stages its slopes in `band` because the
+    /// slopes of the zones next to the box faces read ghosts.
     #[allow(clippy::too_many_arguments)]
-    fn sweep_overlapped(
+    fn sweep_graph(
         &self,
         state: &mut MultiFab,
         dim: usize,
@@ -454,29 +373,42 @@ impl Hydro {
         ex: &ExecSpace,
         arena: &dyn Arena,
     ) -> (SweepFluxes, CommTrace) {
+        const STAGES: [HaloStage; 3] = [
+            HaloStage {
+                name: "interior",
+                after: &[],
+            },
+            HaloStage {
+                name: "band",
+                after: &[HaloDep::Unpack, HaloDep::Stage(0)],
+            },
+            HaloStage {
+                name: "update",
+                after: &[HaloDep::Stage(0), HaloDep::Stage(1), HaloDep::Pack],
+            },
+        ];
         assert!(state.ngrow() >= 2, "hydro needs two ghost zones");
         let n = state.nfabs();
         let nq = Q::ncomp(layout.nspec);
         let nflux = layout.ncomp() + 1;
         let dtdx = dt / geom.dx()[dim];
         let profile = flux_kernel_profile(layout.nspec, self.structure);
-
-        let pending = state.plan_fill_boundary(geom);
-        let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for o in 0..pending.nops() {
-            let (src, dst) = pending.op_endpoints(o);
-            packs_of[src].push(o);
-            senders_of[dst].push(src);
-        }
-        for s in &mut senders_of {
-            s.sort_unstable();
-            s.dedup();
-        }
+        let legacy = self.structure == KernelStructure::Legacy;
 
         let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
         let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow(2)).collect();
         let mut qbufs: Vec<_> = qregions
+            .iter()
+            .map(|r| arena.alloc(r.num_zones() as usize * nq))
+            .collect();
+        // Legacy slope staging: every zone whose slope a face reads, i.e.
+        // the valid box grown by one along the sweep.
+        let sregions: Vec<IndexBox> = if legacy {
+            vbs.iter().map(|vb| vb.grow_dir(dim, 1)).collect()
+        } else {
+            Vec::new()
+        };
+        let mut sbufs: Vec<_> = sregions
             .iter()
             .map(|r| arena.alloc(r.num_zones() as usize * nq))
             .collect();
@@ -485,105 +417,84 @@ impl Hydro {
             .map(|vb| FArrayBox::new(face_box(*vb, dim), nflux))
             .collect();
 
-        {
-            let state_views = state.fab_views_mut();
-            let q_views: Vec<Array4Mut<'_>> = qbufs
+        // Plan after the scratch allocations: planning first moved the flux
+        // fabs on the heap and cost ~0.5 ms of allocator time per 32³ Sedov
+        // step (measured on a 2-core x86-64 host).
+        let halo = HaloGraph::new(state, geom, &STAGES, self.overlap);
+        let trace = {
+            let svs = state.fab_views_mut();
+            let qvs: Vec<Array4Mut<'_>> = qbufs
                 .iter_mut()
                 .zip(&qregions)
                 .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
                 .collect();
-            let flux_views: Vec<Array4Mut<'_>> =
-                flux_fabs.iter_mut().map(|f| f.array_mut()).collect();
-
-            // Task ids by block: pack f, n + unpack f, 2n + interior f,
-            // 3n + band f, 4n + update f.
-            let mut g = TaskGraph::new();
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                let id = g.add_task();
-                for &s in &senders_of[f] {
-                    g.add_edge(s, id);
-                }
-            }
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                g.add_task_after(&[n + f, 2 * n + f]);
-            }
-            for f in 0..n {
-                g.add_task_after(&[2 * n + f, 3 * n + f, f]);
-            }
-
-            let pend = &pending;
-            let svs = &state_views;
-            let qvs = &q_views;
-            let fvs = &flux_views;
+            let slvs: Vec<Array4Mut<'_>> = sbufs
+                .iter_mut()
+                .zip(&sregions)
+                .map(|(b, r)| Array4Mut::from_slice(b, *r, nq))
+                .collect();
+            let fvs: Vec<Array4Mut<'_>> = flux_fabs.iter_mut().map(|f| f.array_mut()).collect();
             let dim_name = ["x", "y", "z"][dim];
-            g.run_labeled(
-                WorkerPool::global(),
-                n.max(1),
+            halo.run(
                 &format!("hydro.sweep.{dim_name}"),
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    let (name, class) = match kind {
-                        0 => ("pack", TaskClass::Comm),
-                        1 => ("unpack", TaskClass::Comm),
-                        2 => ("interior", TaskClass::Compute),
-                        3 => ("band", TaskClass::Compute),
-                        _ => ("update", TaskClass::Compute),
-                    };
-                    TaskLabel::new(format!("{name}.f{f}"), class)
-                },
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    match kind {
-                        0 => {
-                            let sv = &svs[f];
-                            for &o in &packs_of[f] {
-                                pend.pack_op(o, |iv, c| sv.at(iv.x(), iv.y(), iv.z(), c));
-                            }
-                        }
-                        1 => {
-                            let sv = &svs[f];
-                            pend.unpack_fab(f, |iv, c, v| sv.set(iv.x(), iv.y(), iv.z(), c, v));
-                            apply_physical_bc(sv, geom, bc);
-                        }
-                        2 => {
-                            self.primitives_region(
-                                &svs[f], vbs[f], layout, eos, species, ex, &qvs[f],
+                &svs,
+                geom,
+                bc,
+                |stage, f| match stage {
+                    0 => {
+                        self.primitives_region(&svs[f], vbs[f], layout, eos, species, ex, &qvs[f]);
+                        if let Some(faces) = interior_faces(vbs[f], dim).filter(|_| !legacy) {
+                            self.flux_region(
+                                faces, &qvs[f], None, &fvs[f], dim, dtdx, layout, ex, &profile,
                             );
-                            if let Some(faces) = interior_faces(vbs[f], dim) {
-                                self.flux_region(
-                                    faces, &qvs[f], None, &fvs[f], dim, dtdx, layout, ex, &profile,
-                                );
-                            }
                         }
-                        3 => {
-                            for slab in ghost_slabs(vbs[f], dim) {
-                                self.primitives_region(
-                                    &svs[f], slab, layout, eos, species, ex, &qvs[f],
-                                );
-                            }
+                    }
+                    1 => {
+                        for slab in ghost_slabs(vbs[f], dim) {
+                            self.primitives_region(
+                                &svs[f], slab, layout, eos, species, ex, &qvs[f],
+                            );
+                        }
+                        if legacy {
+                            // Stage limited slopes (extra footprint), then a
+                            // second loop reads two of them back per face.
+                            let e = IntVect::dim_vec(dim);
+                            let (qarr, slarr) = (&qvs[f], &slvs[f]);
+                            ex.par_for_prof(sregions[f], &profile, |i, j, k| {
+                                for c in 0..nq {
+                                    let vm = qarr.at(i - e.x(), j - e.y(), k - e.z(), c);
+                                    let v0 = qarr.at(i, j, k, c);
+                                    let vp = qarr.at(i + e.x(), j + e.y(), k + e.z(), c);
+                                    slarr.set(i, j, k, c, mc_slope(vm, v0, vp));
+                                }
+                            });
+                            self.flux_region(
+                                face_box(vbs[f], dim),
+                                qarr,
+                                Some(slarr),
+                                &fvs[f],
+                                dim,
+                                dtdx,
+                                layout,
+                                ex,
+                                &profile,
+                            );
+                        } else {
                             for faces in band_faces(vbs[f], dim) {
                                 self.flux_region(
                                     faces, &qvs[f], None, &fvs[f], dim, dtdx, layout, ex, &profile,
                                 );
                             }
                         }
-                        _ => {
-                            self.update_region(
-                                vbs[f], &fvs[f], &qvs[f], &svs[f], dim, dtdx, layout, ex, &profile,
-                            );
-                        }
+                    }
+                    _ => {
+                        self.update_region(
+                            vbs[f], &fvs[f], &qvs[f], &svs[f], dim, dtdx, layout, ex, &profile,
+                        );
                     }
                 },
             )
-            .expect("hydro sweep graph is a DAG by construction");
-        }
-        let trace = pending.finish();
+        };
         (
             SweepFluxes {
                 fabs: flux_fabs,
@@ -593,10 +504,8 @@ impl Hydro {
         )
     }
 
-    /// A full hydro step: three directional sweeps with ghost refills
-    /// between them. With [`Hydro::overlap`] and flat kernels each sweep
-    /// runs as a task graph overlapping exchange with interior compute;
-    /// otherwise exchange completes up front (bulk-synchronous). Returns
+    /// A full hydro step: three directional sweeps, each one task graph
+    /// with its own ghost exchange (see the module docs). Returns
     /// per-dimension fluxes for refluxing and the step's communication
     /// trace for the machine model.
     #[allow(clippy::too_many_arguments)]
@@ -614,19 +523,11 @@ impl Hydro {
     ) -> (Vec<SweepFluxes>, CommTrace) {
         let mut fluxes = Vec::with_capacity(3);
         let mut trace = CommTrace::default();
-        let overlapped = self.overlap && self.structure == KernelStructure::Flat;
         for dim in 0..3 {
-            if overlapped {
-                let (fx, t) = self
-                    .sweep_overlapped(state, dim, dt, geom, layout, eos, species, bc, ex, arena);
-                trace.merge(&t);
-                fluxes.push(fx);
-            } else {
-                let t = state.fill_boundary(geom);
-                trace.merge(&t);
-                state.fill_physical_bc(geom, bc);
-                fluxes.push(self.sweep(state, dim, dt, geom, layout, eos, species, ex, arena));
-            }
+            let (fx, t) =
+                self.sweep_graph(state, dim, dt, geom, layout, eos, species, bc, ex, arena);
+            trace.merge(&t);
+            fluxes.push(fx);
         }
         (fluxes, trace)
     }
@@ -656,11 +557,11 @@ fn trace_pair(
 }
 
 /// A traced face state: rotated primitive plus species.
-pub struct TracedState {
+struct TracedState {
     /// Rotated primitive (`vel[0]` is the face normal).
-    pub prim: Primitive,
+    prim: Primitive,
     /// Species mass fractions.
-    pub x: [Real; 16],
+    x: [Real; 16],
 }
 
 /// Trace zone `z`'s state to its face at `side` (+0.5 = high face, −0.5 =

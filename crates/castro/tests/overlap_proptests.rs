@@ -1,8 +1,8 @@
-//! Property test: the graph-overlapped Castro advance is bit-identical to
-//! the bulk-synchronous one across randomized domain sizes, box
-//! decompositions, and boundary conditions. This is the tentpole
-//! determinism contract — overlap is a pure scheduling change, never a
-//! numerical one.
+//! Property test: the free-graph (overlapped) Castro advance is
+//! bit-identical to the barrier-graph (bulk-synchronous) one across
+//! randomized domain sizes, box decompositions, boundary conditions, and
+//! both kernel structures. This is the tentpole determinism contract —
+//! overlap is a pure scheduling change, never a numerical one.
 
 use exastro_amr::{BoxArray, DistributionMapping, Geometry, MultiFab};
 use exastro_castro::{
@@ -23,11 +23,16 @@ fn sedov_state(n: i32, max_grid: i32, periodic: bool) -> (Geometry, MultiFab, St
     (geom, state, layout)
 }
 
-fn castro<'a>(eos: &'a GammaLaw, net: &'a CBurn2, overlap: bool) -> Castro<'a> {
+fn castro<'a>(
+    eos: &'a GammaLaw,
+    net: &'a CBurn2,
+    structure: KernelStructure,
+    overlap: bool,
+) -> Castro<'a> {
     let mut c = Castro::new(eos, net);
     c.hydro = Hydro {
         cfl: 0.4,
-        structure: KernelStructure::Flat,
+        structure,
         overlap,
         floors: Floors::dimensionless(),
     };
@@ -44,15 +49,21 @@ proptest! {
         grid_pick in 0u8..2,
         periodic_bit in 0u8..2,
         steps in 1u32..3,
+        legacy_bit in 0u8..2,
     ) {
         let n = if size_pick == 0 { 8 } else { 12 };
         let max_grid = if grid_pick == 0 { 4 } else { 8 };
         let periodic = periodic_bit == 1;
+        let structure = if legacy_bit == 1 {
+            KernelStructure::Legacy
+        } else {
+            KernelStructure::Flat
+        };
         let (geom, initial, _layout) = sedov_state(n, max_grid, periodic);
         let eos = GammaLaw::monatomic();
         let net = CBurn2::new();
-        let sync = castro(&eos, &net, false);
-        let ovl = castro(&eos, &net, true);
+        let sync = castro(&eos, &net, structure, false);
+        let ovl = castro(&eos, &net, structure, true);
 
         let mut s_sync = initial.clone();
         let mut s_ovl = initial;

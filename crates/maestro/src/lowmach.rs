@@ -13,19 +13,19 @@
 
 use crate::base_state::{rho_from_p_t, BaseState};
 use exastro_amr::{
-    apply_physical_bc, Array4Mut, BcKind, BcSpec, CommTrace, Geometry, IndexBox, IntVect, MultiFab,
-    Real, SPACEDIM,
+    Array4Mut, BcKind, BcSpec, CommTrace, Geometry, HaloDep, HaloGraph, HaloStage, IndexBox,
+    IntVect, MultiFab, Real, SPACEDIM,
 };
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
     SolverChoice, ZoneBurn,
 };
-use exastro_parallel::{Profiler, TaskGraph, WorkerPool};
+use exastro_parallel::Profiler;
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::Clock;
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
 use exastro_solvers::{MgBc, MgOptions, MgStats, Multigrid};
-use exastro_telemetry::{StepMetrics, StepRecorder, TaskClass, TaskLabel};
+use exastro_telemetry::{StepMetrics, StepRecorder};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -231,9 +231,10 @@ pub struct Maestro<'a> {
     /// [`exastro_microphysics::batch`]); width < 2 keeps every zone on the
     /// scalar retry ladder.
     pub burn_batch_width: usize,
-    /// Overlap the advection ghost exchange with stencil-interior advection
-    /// via the two-phase comm API ([`MultiFab::post_fill_boundary`]);
-    /// results are bit-identical to the bulk-synchronous path.
+    /// Overlap the advection ghost exchange with stencil-interior
+    /// advection. The advect step is one task graph either way; `false`
+    /// adds the barrier that makes every unpack finish before any interior
+    /// advection starts (bulk-synchronous, bit-identical results).
     pub overlap: bool,
     /// Step-rejection policy and emergency-checkpoint destination.
     pub recovery: RecoveryOptions,
@@ -290,18 +291,6 @@ impl<'a> Maestro<'a> {
         }
     }
 
-    /// First-order upwind advection of all components by the cell velocity.
-    fn advect(&self, state: &mut MultiFab, geom: &Geometry, dt: Real) {
-        let mut old = state.clone();
-        let n = state.nfabs();
-        let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
-        let svs = state.fab_views_mut();
-        let ovs = old.fab_views_mut();
-        for i in 0..n {
-            self.advect_view_zones(&svs[i], &ovs[i], vbs[i], geom, dt, |_| true);
-        }
-    }
-
     /// The zones of `vb` whose 1-zone upwind stencil lies entirely in valid
     /// data — advection there needs no ghosts. `None` when the box is too
     /// narrow (< 3 zones in some dimension) to have any.
@@ -314,8 +303,8 @@ impl<'a> Maestro<'a> {
     /// Upwind-advect the zones of `vb` selected by `include`, reading
     /// pre-step data from the snapshot view `ov` and writing the state view
     /// `sv`. Pointwise in the destination zone, so any partition of the
-    /// valid box computes identical updates — the sync and overlapped paths
-    /// share this body, which is what makes them bit-identical.
+    /// valid box computes identical updates — the `interior` and `boundary`
+    /// tasks share this body, so any split of the box is bit-identical.
     fn advect_view_zones<F: Fn(IntVect) -> bool>(
         &self,
         sv: &Array4Mut<'_>,
@@ -353,134 +342,68 @@ impl<'a> Maestro<'a> {
         }
     }
 
-    /// Exchange + advect, overlapped, structured as a [`TaskGraph`] so the
-    /// overlap is *measured*, not assumed: per fab, `pack` (Comm) captures
-    /// send buffers from the pre-step snapshot, `unpack` (Comm) completes
-    /// the exchange into the snapshot's ghosts and applies physical BCs,
-    /// `interior` (Compute) advects all stencil-interior zones with no
-    /// dependencies (free to run while halos are in flight), and `boundary`
-    /// (Compute) advects the remaining zones after `unpack`, then syncs the
-    /// state's own ghosts to the snapshot's. The multifab ends bit-identical
-    /// to the synchronous path (the projection's velocity copy reads the
-    /// ghosts). With graph tracing enabled the schedule lands in
+    /// Exchange + first-order upwind advection of all components by the
+    /// cell velocity, as one [`HaloGraph`] so the overlap is *measured*,
+    /// not assumed: per fab, `pack` (Comm) captures send buffers from the
+    /// pre-step snapshot, `unpack` (Comm) completes the exchange into the
+    /// snapshot's ghosts and applies physical BCs, `interior` (Compute)
+    /// advects all stencil-interior zones with no dependencies (free to run
+    /// while halos are in flight), and `boundary` (Compute) advects the
+    /// remaining zones after `unpack`, then syncs the state's own ghosts to
+    /// the snapshot's (the projection's velocity copy reads them). Without
+    /// [`Maestro::overlap`] a barrier task holds every `interior` until all
+    /// unpacks are done; the result is bit-identical either way. With graph
+    /// tracing enabled the schedule lands in
     /// [`exastro_telemetry::graphtrace`] under the label `lowmach.advect`.
-    fn advect_overlapped(
+    fn advect_graph(
         &self,
         state: &mut MultiFab,
         geom: &Geometry,
         bc: &BcSpec,
         dt: Real,
     ) -> CommTrace {
+        const STAGES: [HaloStage; 2] = [
+            HaloStage {
+                name: "interior",
+                after: &[],
+            },
+            HaloStage {
+                name: "boundary",
+                after: &[HaloDep::Unpack],
+            },
+        ];
         let n = state.nfabs();
         let ncomp = self.layout.ncomp();
-        let pending = state.plan_fill_boundary(geom);
-        let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for o in 0..pending.nops() {
-            let (src, dst) = pending.op_endpoints(o);
-            packs_of[src].push(o);
-            senders_of[dst].push(src);
-        }
-        for s in &mut senders_of {
-            s.sort_unstable();
-            s.dedup();
-        }
-
+        let halo = HaloGraph::new(state, geom, &STAGES, self.overlap);
         let mut old = state.clone();
         let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
         let gbs: Vec<IndexBox> = (0..n).map(|i| state.grown_box(i)).collect();
-        {
-            let state_views = state.fab_views_mut();
-            let old_views = old.fab_views_mut();
-
-            // Task ids by block: pack f, n + unpack f, 2n + interior f,
-            // 3n + boundary f.
-            let mut g = TaskGraph::new();
-            for _ in 0..n {
-                g.add_task();
+        let svs = state.fab_views_mut();
+        // The exchange reads and fills the snapshot, which holds the same
+        // pre-advect values a one-shot fill would exchange.
+        let ovs = old.fab_views_mut();
+        halo.run("lowmach.advect", &ovs, geom, bc, |stage, f| {
+            let interior = Self::stencil_interior(vbs[f]);
+            let in_interior = |iv: IntVect| interior.is_some_and(|ib| ib.contains(iv));
+            if stage == 0 {
+                if interior.is_some() {
+                    self.advect_view_zones(&svs[f], &ovs[f], vbs[f], geom, dt, in_interior);
+                }
+                return;
             }
-            for f in 0..n {
-                let id = g.add_task();
-                for &s in &senders_of[f] {
-                    g.add_edge(s, id);
+            self.advect_view_zones(&svs[f], &ovs[f], vbs[f], geom, dt, |iv| !in_interior(iv));
+            // Restore the ghost picture of a one-shot fill: pre-advect
+            // exchanged-and-bc'd values.
+            let (sv, ov) = (&svs[f], &ovs[f]);
+            for iv in gbs[f].iter() {
+                if vbs[f].contains(iv) {
+                    continue;
+                }
+                for c in 0..ncomp {
+                    sv.set(iv.x(), iv.y(), iv.z(), c, ov.at(iv.x(), iv.y(), iv.z(), c));
                 }
             }
-            for _ in 0..n {
-                g.add_task();
-            }
-            for f in 0..n {
-                g.add_task_after(&[n + f]);
-            }
-
-            let pend = &pending;
-            let svs = &state_views;
-            let ovs = &old_views;
-            g.run_labeled(
-                WorkerPool::global(),
-                n.max(1),
-                "lowmach.advect",
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    let (name, class) = match kind {
-                        0 => ("pack", TaskClass::Comm),
-                        1 => ("unpack", TaskClass::Comm),
-                        2 => ("interior", TaskClass::Compute),
-                        _ => ("boundary", TaskClass::Compute),
-                    };
-                    TaskLabel::new(format!("{name}.f{f}"), class)
-                },
-                |t| {
-                    let (kind, f) = (t / n, t % n);
-                    match kind {
-                        0 => {
-                            // Send buffers read the snapshot, which holds the
-                            // same pre-advect values the sync path exchanges.
-                            let ov = &ovs[f];
-                            for &o in &packs_of[f] {
-                                pend.pack_op(o, |iv, c| ov.at(iv.x(), iv.y(), iv.z(), c));
-                            }
-                        }
-                        1 => {
-                            let ov = &ovs[f];
-                            pend.unpack_fab(f, |iv, c, v| ov.set(iv.x(), iv.y(), iv.z(), c, v));
-                            apply_physical_bc(ov, geom, bc);
-                        }
-                        2 => {
-                            if let Some(ib) = Self::stencil_interior(vbs[f]) {
-                                self.advect_view_zones(&svs[f], &ovs[f], vbs[f], geom, dt, |iv| {
-                                    ib.contains(iv)
-                                });
-                            }
-                        }
-                        _ => {
-                            let interior = Self::stencil_interior(vbs[f]);
-                            self.advect_view_zones(&svs[f], &ovs[f], vbs[f], geom, dt, |iv| {
-                                !interior.is_some_and(|ib| ib.contains(iv))
-                            });
-                            // Restore the ghost picture of the synchronous
-                            // path: pre-advect exchanged-and-bc'd values.
-                            let (sv, ov) = (&svs[f], &ovs[f]);
-                            for iv in gbs[f].iter() {
-                                if vbs[f].contains(iv) {
-                                    continue;
-                                }
-                                for c in 0..ncomp {
-                                    sv.set(
-                                        iv.x(),
-                                        iv.y(),
-                                        iv.z(),
-                                        c,
-                                        ov.at(iv.x(), iv.y(), iv.z(), c),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                },
-            )
-            .expect("advect graph is a DAG by construction");
-        }
-        pending.finish()
+        })
     }
 
     /// Buoyancy source: `w += −g (ρ − ρ₀)/ρ dt`.
@@ -724,14 +647,7 @@ impl<'a> Maestro<'a> {
         }
         {
             let _r = Profiler::region("advect");
-            let trace = if self.overlap {
-                self.advect_overlapped(state, geom, &bc, dt)
-            } else {
-                let trace = state.fill_boundary(geom);
-                state.fill_physical_bc(geom, &bc);
-                self.advect(state, geom, dt);
-                trace
-            };
+            let trace = self.advect_graph(state, geom, &bc, dt);
             stats.comm.merge(&trace);
             self.buoyancy(state, dt);
         }

@@ -47,6 +47,7 @@ pub mod profiler;
 
 pub use arena::{Arena, ArenaStats, MallocArena, PoolArena, ScratchBuf};
 pub use device::{DeviceConfig, DeviceStats, KernelProfile, SimDevice};
+pub use exastro_telemetry::graphtrace::{TaskClass, TaskLabel};
 pub use exec::{tiles_of, ExecSpace, TiledExec};
 pub use graph::{GraphError, GraphRunStats, TaskGraph};
 pub use index::{IndexBox, IntVect, SPACEDIM};

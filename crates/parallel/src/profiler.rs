@@ -338,11 +338,13 @@ impl Drop for InstalledStack {
 mod tests {
     use super::*;
 
-    // The profiler table is process-global, so exercise everything from one
-    // test to avoid cross-test interference under the parallel test runner.
+    // The profiler table is process-global and other tests in this binary
+    // record into it concurrently, so this test never resets it: it asserts
+    // only on its own uniquely prefixed paths and on before/after deltas.
+    // "reset clears the table" lives in tests/profiler_reset.rs, a separate
+    // process.
     #[test]
     fn regions_nest_record_and_report() {
-        Profiler::reset();
         {
             let _outer = Profiler::region("prof_test_step");
             Profiler::record_zones(100);
@@ -430,11 +432,16 @@ mod tests {
         assert!(dev_report.contains("1 D2H copies"));
         assert!(dev_report.contains("2.00 MB"));
 
-        // Zones recorded with no open region land in "(top)".
+        // Records made with no open region land in "(top)". Kernel launches
+        // in concurrently running tests also add zones there, so the exact
+        // delta is asserted on bytes, which nothing else in this crate
+        // records outside a region.
+        let top = || Profiler::get("(top)").unwrap_or_default();
+        let before = top();
         Profiler::record_zones(7);
-        assert_eq!(Profiler::get("(top)").unwrap().zones, 7);
-
-        Profiler::reset();
-        assert!(Profiler::get("prof_test_step").is_none());
+        Profiler::record_bytes(7_777);
+        let after = top();
+        assert_eq!(after.bytes - before.bytes, 7_777);
+        assert!(after.zones - before.zones >= 7);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`parallel`] — `parallel_for` abstraction, simulated device, arenas;
 //! * [`amr`] — boxes, multifabs, distribution maps, AMR hierarchies;
 //! * [`microphysics`] — EOS, networks, burner, BDF integrator;
-//! * [`solvers`] — multigrid and Krylov solvers;
+//! * [`solvers`] — the geometric multigrid solver;
 //! * [`castro`] — compressible reactive hydro + gravity;
 //! * [`maestro`] — low-Mach convection;
 //! * [`machine`] — the cluster performance simulator;
