@@ -12,6 +12,23 @@ cargo build --workspace --release --offline
 echo "== tests =="
 cargo test --workspace -q --offline
 
+echo "== repository benchmark: self-test and correctness smoke =="
+# The benchmark's determinism and metric-list self-test, then a short
+# untraced run of each workload. Its last line must report
+# "correct": true, so the Sedov drift, shock-radius and digest checks and
+# the campaign's failure checks gate every change.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for w in sedov wd_collision campaign; do
+  cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 3 --trace 0 >/tmp/perfbench_$w.log
+  tail -n 1 /tmp/perfbench_$w.log | python3 -c "
+import json, sys
+r = json.loads(sys.stdin.read())
+assert r['correct'] is True, r
+print('perfbench $w: correct, %d attempted, %d failed' % (r['attempted'], r['failed']))
+"
+done
+
 echo "== restart round-trip smoke =="
 # The survival demo kills itself mid-run three times, corrupts a
 # checkpoint, and must still reproduce the uninterrupted digest.

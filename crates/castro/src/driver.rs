@@ -4,13 +4,13 @@
 use crate::burn::{burn_state, BurnOptions, BurnStats};
 use crate::gravity::{Gravity, GravityField, GravityMode};
 use crate::hydro::{Hydro, SweepFluxes};
-use crate::state::{cons_to_prim, StateLayout};
+use crate::state::{density_velocity_energy, StateLayout};
 use exastro_amr::{
     average_down, fill_patch_two_levels, BcSpec, CommTrace, FluxRegister, Geometry, Hierarchy,
-    IntVect, MultiFab, Real,
+    IndexBox, IntVect, MultiFab, Real,
 };
 use exastro_microphysics::{BurnFailure, Composition, Eos, Network};
-use exastro_parallel::{Arena, ExecSpace, PoolArena, Profiler};
+use exastro_parallel::{par_index_each, Arena, ExecSpace, PoolArena, Profiler};
 use exastro_resilience::recovery::{write_emergency, RecoveryOptions};
 use exastro_resilience::snapshot::{Clock, Snapshot};
 use exastro_resilience::stepper::{StepFailure, StepOutcome, Stepper};
@@ -210,44 +210,52 @@ impl<'a> Castro<'a> {
     }
 
     /// Recompute temperature and re-sync the advected internal energy from
-    /// the conservative total energy (post-hydro EOS sync).
+    /// the conservative total energy (post-hydro EOS sync). Per zone: the
+    /// species are renormalized against advection drift, then one
+    /// `T(ρ, e)` solve runs, seeded with the stored temperature floored at
+    /// `small_temp`. Fabs run in parallel on the global worker pool; each
+    /// zone is independent, so the result does not depend on scheduling.
     pub fn sync_temperature(&self, state: &mut MultiFab) {
         let layout = self.layout;
+        let ncomp = layout.ncomp();
         let floors = self.hydro.floors;
         let species = self.net.species();
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            let fab = state.fab_mut(i);
-            for iv in vb.iter() {
-                let mut u = vec![0.0; layout.ncomp()];
-                for c in 0..layout.ncomp() {
-                    u[c] = fab.get(iv, c);
+        let eos = self.eos;
+        const MAX_COMP: usize = 40;
+        assert!(
+            ncomp <= MAX_COMP,
+            "{ncomp} state components exceed {MAX_COMP}"
+        );
+        let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
+        let views = state.fab_views_mut();
+        par_index_each(views.len(), usize::MAX, |f| {
+            let v = &views[f];
+            let (mut u, mut x) = ([0.0; MAX_COMP], [0.0; MAX_COMP]);
+            for iv in vbs[f].iter() {
+                let (i, j, k) = (iv.x(), iv.y(), iv.z());
+                for c in 0..ncomp {
+                    u[c] = v.at(i, j, k, c);
                 }
-                let q = cons_to_prim(&u, &layout, self.eos, species, &floors);
-                // Renormalize species against advection drift.
-                let rho = q.rho;
+                let (rho, _, e) = density_velocity_energy(&u[..ncomp], &floors);
                 let mut xsum = 0.0;
                 for s in 0..layout.nspec {
-                    xsum += (fab.get(iv, layout.spec(s)) / rho).max(0.0);
+                    xsum += (u[layout.spec(s)] / rho).max(0.0);
                 }
-                if xsum > 0.0 {
-                    for s in 0..layout.nspec {
-                        let x = (fab.get(iv, layout.spec(s)) / rho).max(0.0) / xsum;
-                        fab.set(iv, layout.spec(s), rho * x);
-                    }
-                }
-                let mut x = vec![0.0; layout.nspec];
                 for s in 0..layout.nspec {
-                    x[s] = fab.get(iv, layout.spec(s)) / rho;
+                    let c = layout.spec(s);
+                    if xsum > 0.0 {
+                        u[c] = rho * ((u[c] / rho).max(0.0) / xsum);
+                        v.set(i, j, k, c, u[c]);
+                    }
+                    x[s] = u[c] / rho;
                 }
-                let comp = Composition::from_mass_fractions(species, &x);
-                let t = self
-                    .eos
-                    .t_from_e(rho, q.e, &comp, fab.get(iv, StateLayout::TEMP).max(1e3));
-                fab.set(iv, StateLayout::TEMP, t.max(floors.small_temp));
-                fab.set(iv, StateLayout::EINT, rho * q.e);
+                let comp = Composition::from_mass_fractions(species, &x[..layout.nspec]);
+                let t_guess = u[StateLayout::TEMP].max(floors.small_temp);
+                let t = eos.t_from_e(rho, e, &comp, t_guess);
+                v.set(i, j, k, StateLayout::TEMP, t.max(floors.small_temp));
+                v.set(i, j, k, StateLayout::EINT, rho * e);
             }
-        }
+        });
     }
 
     /// Validate the post-step state: every component finite, density and

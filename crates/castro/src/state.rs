@@ -116,6 +116,25 @@ impl Floors {
     }
 }
 
+/// Density (floored), velocity and specific internal energy of one zone
+/// of conserved data `u`. The energy is `E/ρ − ½|v|²`, or the advected
+/// internal energy when that residual is not positive (dual-energy guard).
+pub(crate) fn density_velocity_energy(u: &[Real], floors: &Floors) -> (Real, [Real; 3], Real) {
+    let rho = u[StateLayout::RHO].max(floors.small_dens);
+    let inv = 1.0 / rho;
+    let vel = [
+        u[StateLayout::MX] * inv,
+        u[StateLayout::MY] * inv,
+        u[StateLayout::MZ] * inv,
+    ];
+    let ke = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
+    let mut e = u[StateLayout::EDEN] * inv - ke;
+    if e <= 0.0 {
+        e = (u[StateLayout::EINT] * inv).max(1e-30);
+    }
+    (rho, vel, e)
+}
+
 /// Convert one zone of conserved data to primitives using the EOS.
 ///
 /// `u` must contain `layout.ncomp()` values. The temperature entry is used
@@ -127,19 +146,8 @@ pub fn cons_to_prim(
     species: &[exastro_microphysics::Species],
     floors: &Floors,
 ) -> Primitive {
-    let rho = u[StateLayout::RHO].max(floors.small_dens);
+    let (rho, vel, e) = density_velocity_energy(u, floors);
     let inv = 1.0 / rho;
-    let vel = [
-        u[StateLayout::MX] * inv,
-        u[StateLayout::MY] * inv,
-        u[StateLayout::MZ] * inv,
-    ];
-    let ke = 0.5 * (vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2]);
-    let mut e = u[StateLayout::EDEN] * inv - ke;
-    if e <= 0.0 {
-        // Fall back to the advected internal energy (dual-energy guard).
-        e = (u[StateLayout::EINT] * inv).max(1e-30);
-    }
     let mut x = [0.0; 32];
     let n = layout.nspec.min(32);
     for k in 0..n {

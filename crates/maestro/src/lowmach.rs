@@ -274,16 +274,17 @@ impl<'a> Maestro<'a> {
     pub fn enforce_density(&self, state: &mut MultiFab, geom: &Geometry) {
         let _ = geom;
         let nspec = self.layout.nspec;
+        let mut x = [0.0; 32];
+        assert!(nspec <= x.len(), "{nspec} species exceed {}", x.len());
         for i in 0..state.nfabs() {
             let vb = state.valid_box(i);
             for iv in vb.iter() {
                 let kz = iv.z().clamp(0, self.base.nz() as i32 - 1) as usize;
                 let t = state.fab(i).get(iv, LmLayout::TEMP);
-                let mut x = vec![0.0; nspec];
                 for s in 0..nspec {
                     x[s] = state.fab(i).get(iv, self.layout.spec(s)).clamp(0.0, 1.0);
                 }
-                let comp = Composition::from_mass_fractions(self.net.species(), &x);
+                let comp = Composition::from_mass_fractions(self.net.species(), &x[..nspec]);
                 let rho_old = state.fab(i).get(iv, LmLayout::RHO).max(1e-6);
                 let rho = rho_from_p_t(self.base.p0[kz], t, &comp, self.eos, rho_old);
                 state.fab_mut(i).set(iv, LmLayout::RHO, rho);
@@ -316,11 +317,18 @@ impl<'a> Maestro<'a> {
     ) {
         let dx = geom.dx();
         let ncomp = self.layout.ncomp();
+        let mut buf = [0.0; 40];
+        assert!(
+            ncomp <= buf.len(),
+            "{ncomp} components exceed {}",
+            buf.len()
+        );
         for iv in vb.iter() {
             if !include(iv) {
                 continue;
             }
-            let mut upd = vec![0.0; ncomp];
+            let upd = &mut buf[..ncomp];
+            upd.fill(0.0);
             for d in 0..3 {
                 let e = IntVect::dim_vec(d);
                 let vel = ov.at(iv.x(), iv.y(), iv.z(), LmLayout::U + d);

@@ -48,40 +48,52 @@ pub trait Eos: Send + Sync {
     /// density `rho`, starting from `t_guess`. Newton iteration with a
     /// bisection safeguard; EOS internal energies are monotone in T.
     fn t_from_e(&self, rho: f64, e: f64, comp: &Composition, t_guess: f64) -> f64 {
-        let mut t = t_guess.max(1e-30);
-        // Newton.
-        for _ in 0..50 {
-            let r = self.eval_rt(rho, t, comp);
-            let f = r.e - e;
-            if f.abs() <= 1e-10 * e.abs().max(1e-30) {
-                return t;
-            }
-            let dt = -f / r.cv.max(1e-30);
-            let tn = t + dt;
-            if tn > 0.2 * t && tn < 5.0 * t && tn.is_finite() {
-                t = tn;
-            } else {
-                t = if dt > 0.0 { t * 2.0 } else { t * 0.5 };
-            }
-            if (dt / t).abs() < 1e-12 {
-                return t;
-            }
-        }
-        // Bisection fallback over a wide (log-space) bracket.
-        let (mut lo, mut hi): (f64, f64) = (1e-30, 1e12);
-        for _ in 0..200 {
-            let mid = (lo * hi).sqrt();
-            if self.eval_rt(rho, mid, comp).e < e {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi / lo < 1.0 + 1e-14 {
-                break;
-            }
-        }
-        (lo * hi).sqrt()
+        invert_energy(
+            |t| {
+                let r = self.eval_rt(rho, t, comp);
+                (r.e, r.cv)
+            },
+            e,
+            t_guess,
+        )
     }
+}
+
+/// Solve `e(T) = e` given `e_cv(T) = (e(T), c_v(T))`, starting from
+/// `t_guess`: Newton with a step clamp, then bisection over a wide
+/// (log-space) bracket if Newton has not converged in 50 iterations.
+fn invert_energy(e_cv: impl Fn(f64) -> (f64, f64), e: f64, t_guess: f64) -> f64 {
+    let mut t = t_guess.max(1e-30);
+    for _ in 0..50 {
+        let (et, cv) = e_cv(t);
+        let f = et - e;
+        if f.abs() <= 1e-10 * e.abs().max(1e-30) {
+            return t;
+        }
+        let dt = -f / cv.max(1e-30);
+        let tn = t + dt;
+        if tn > 0.2 * t && tn < 5.0 * t && tn.is_finite() {
+            t = tn;
+        } else {
+            t = if dt > 0.0 { t * 2.0 } else { t * 0.5 };
+        }
+        if (dt / t).abs() < 1e-12 {
+            return t;
+        }
+    }
+    let (mut lo, mut hi): (f64, f64) = (1e-30, 1e12);
+    for _ in 0..200 {
+        let mid = (lo * hi).sqrt();
+        if e_cv(mid).0 < e {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi / lo < 1.0 + 1e-14 {
+            break;
+        }
+    }
+    (lo * hi).sqrt()
 }
 
 fn finish(p: f64, e: f64, cv: f64, dpdr: f64, dpdt: f64) -> EosResult {
@@ -139,6 +151,12 @@ impl Eos for GammaLaw {
         let dpdt = rho * K_B / (comp.abar * M_U);
         with_sound_speed(finish(p, e, cv, dpdr, dpdt), rho, t)
     }
+
+    /// Exact inverse of `e = k_B T / ((γ−1) abar m_u)`; no iteration, so
+    /// `rho` and `t_guess` play no part. `e` must be positive.
+    fn t_from_e(&self, _rho: f64, e: f64, comp: &Composition, _t_guess: f64) -> f64 {
+        e * (self.gamma - 1.0) * comp.abar * M_U / K_B
+    }
 }
 
 /// Analytic stellar EOS: ions (ideal) + radiation + electrons
@@ -173,34 +191,103 @@ impl StellarEos {
     }
 }
 
-impl Eos for StellarEos {
-    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+/// The temperature-independent part of a [`StellarEos`] evaluation at one
+/// `(ρ, composition)`: the degenerate electron terms and the ion and
+/// electron mass units. A `T(ρ, e)` solve computes it once and then
+/// evaluates only [`DensityTerms::thermal`] per iteration.
+struct DensityTerms {
+    rho: f64,
+    /// `abar m_u`.
+    ion_mass: f64,
+    /// `μ_e m_u`.
+    electron_mass: f64,
+    p_deg: f64,
+    e_deg: f64,
+    dpdr_deg: f64,
+}
+
+/// The temperature-dependent terms of a [`StellarEos`] evaluation.
+struct Thermal {
+    p_ion: f64,
+    p_rad: f64,
+    p_nd: f64,
+    p_e: f64,
+    /// ∂p_e/∂T.
+    dpe_dt: f64,
+    e: f64,
+    cv: f64,
+}
+
+impl DensityTerms {
+    fn new(rho: f64, comp: &Composition) -> Self {
         let mu_e = comp.mu_e();
+        let (p_deg, e_deg, dpdr_deg) = StellarEos::degenerate(rho, mu_e);
+        DensityTerms {
+            rho,
+            ion_mass: comp.abar * M_U,
+            electron_mass: mu_e * M_U,
+            p_deg,
+            e_deg,
+            dpdr_deg,
+        }
+    }
+
+    #[inline]
+    fn thermal(&self, t: f64) -> Thermal {
+        let rho = self.rho;
         // Ions.
-        let p_ion = rho * K_B * t / (comp.abar * M_U);
+        let p_ion = rho * K_B * t / self.ion_mass;
         let e_ion = 1.5 * p_ion / rho;
-        let cv_ion = 1.5 * K_B / (comp.abar * M_U);
+        let cv_ion = 1.5 * K_B / self.ion_mass;
         // Radiation.
         let p_rad = A_RAD * t.powi(4) / 3.0;
         let e_rad = 3.0 * p_rad / rho;
         let cv_rad = 4.0 * A_RAD * t.powi(3) / rho;
         // Electrons.
-        let (p_deg, e_deg, dpdr_deg) = Self::degenerate(rho, mu_e);
-        let p_nd = rho * K_B * t / (mu_e * M_U);
-        let p_e = (p_deg * p_deg + p_nd * p_nd).sqrt().max(1e-300);
-        let e_e_th = 1.5 * (p_e - p_deg) / rho;
-        // Derivatives of the electron term.
+        let p_nd = rho * K_B * t / self.electron_mass;
+        let p_e = (self.p_deg * self.p_deg + p_nd * p_nd).sqrt().max(1e-300);
+        let e_e_th = 1.5 * (p_e - self.p_deg) / rho;
         let dpe_dt = p_nd * p_nd / (p_e * t.max(1e-300)); // p_nd ∝ T
-        let dpnd_dr = p_nd / rho.max(1e-300);
-        let dpe_dr = (p_deg * dpdr_deg + p_nd * dpnd_dr) / p_e;
         let cv_e = 1.5 * dpe_dt / rho;
+        Thermal {
+            p_ion,
+            p_rad,
+            p_nd,
+            p_e,
+            dpe_dt,
+            e: e_ion + e_rad + self.e_deg + e_e_th,
+            cv: cv_ion + cv_rad + cv_e,
+        }
+    }
+}
 
-        let p = p_ion + p_rad + p_e;
-        let e = e_ion + e_rad + e_deg + e_e_th;
-        let cv = cv_ion + cv_rad + cv_e;
-        let dpdr = K_B * t / (comp.abar * M_U) + dpe_dr;
-        let dpdt = rho * K_B / (comp.abar * M_U) + 4.0 * A_RAD * t.powi(3) / 3.0 + dpe_dt;
-        with_sound_speed(finish(p, e, cv, dpdr, dpdt), rho, t)
+impl Eos for StellarEos {
+    fn eval_rt(&self, rho: f64, t: f64, comp: &Composition) -> EosResult {
+        let d = DensityTerms::new(rho, comp);
+        let th = d.thermal(t);
+        // Derivatives of the electron term.
+        let dpnd_dr = th.p_nd / rho.max(1e-300);
+        let dpe_dr = (d.p_deg * d.dpdr_deg + th.p_nd * dpnd_dr) / th.p_e;
+
+        let p = th.p_ion + th.p_rad + th.p_e;
+        let dpdr = K_B * t / d.ion_mass + dpe_dr;
+        let dpdt = rho * K_B / d.ion_mass + 4.0 * A_RAD * t.powi(3) / 3.0 + th.dpe_dt;
+        with_sound_speed(finish(p, th.e, th.cv, dpdr, dpdt), rho, t)
+    }
+
+    /// The generic Newton/bisection solve, with the density terms (the
+    /// degenerate `powf`/`asinh`/`sqrt`) evaluated once instead of per
+    /// iteration. Bit-identical to the trait default.
+    fn t_from_e(&self, rho: f64, e: f64, comp: &Composition, t_guess: f64) -> f64 {
+        let d = DensityTerms::new(rho, comp);
+        invert_energy(
+            |t| {
+                let th = d.thermal(t);
+                (th.e, th.cv)
+            },
+            e,
+            t_guess,
+        )
     }
 }
 
@@ -232,13 +319,87 @@ mod tests {
         assert!((r.gam1 - 5.0 / 3.0).abs() < 1e-10);
     }
 
+    /// The trait-default solve for `eos`, counting EOS evaluations.
+    fn generic_newton(
+        eos: &dyn Eos,
+        rho: f64,
+        e: f64,
+        comp: &Composition,
+        t_guess: f64,
+    ) -> (f64, usize) {
+        let evals = std::cell::Cell::new(0);
+        let t = invert_energy(
+            |t| {
+                evals.set(evals.get() + 1);
+                let r = eos.eval_rt(rho, t, comp);
+                (r.e, r.cv)
+            },
+            e,
+            t_guess,
+        );
+        (t, evals.get())
+    }
+
     #[test]
-    fn gamma_law_t_from_e_inverts() {
-        let eos = GammaLaw::monatomic();
-        let comp = co_comp();
-        let r = eos.eval_rt(1.0, 3.7e6, &comp);
-        let t = eos.t_from_e(1.0, r.e, &comp, 1e5);
-        assert!((t / 3.7e6 - 1.0).abs() < 1e-8, "t = {t}");
+    fn gamma_law_closed_form_matches_newton_and_round_trips() {
+        for gamma in [5.0 / 3.0, 1.4] {
+            let eos = GammaLaw { gamma };
+            for comp in [1.0, 4.0, 12.0]
+                .map(|abar| Composition { abar, zbar: 1.0 })
+                .into_iter()
+                .chain([co_comp()])
+            {
+                let abar = comp.abar;
+                for k in 0..=24 {
+                    let t = 1e-14 * 10f64.powi(k);
+                    let rho = 0.5;
+                    let e = eos.eval_rt(rho, t, &comp).e;
+                    let tc = eos.t_from_e(rho, e, &comp, 1e3);
+                    let (tn, _) = generic_newton(&eos, rho, e, &comp, 1e3);
+                    assert!(
+                        (tc / tn - 1.0).abs() <= 1e-10,
+                        "γ={gamma} abar={abar} T={t:e}: closed form {tc:e} vs Newton {tn:e}"
+                    );
+                    let e_back = eos.eval_rt(rho, tc, &comp).e;
+                    assert!(
+                        (e_back / e - 1.0).abs() <= 1e-14,
+                        "γ={gamma} abar={abar} T={t:e}: e {e:e} -> {e_back:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stellar_t_from_e_is_bitwise_the_generic_newton() {
+        let eos = StellarEos;
+        let comps = [
+            co_comp(),
+            Composition::from_mass_fractions(&[iso::HE4, iso::NI56], &[0.3, 0.7]),
+        ];
+        let mut bisected = 0;
+        for comp in &comps {
+            for rho in [1e-2, 1.0, 1e3, 1e5, 1e7, 2e7, 5e8] {
+                for t in [1e5, 1e6, 1e7, 1e8, 1e9, 4e9] {
+                    let e = eos.eval_rt(rho, t, comp).e;
+                    // A close seed, a typical one, and one 25+ decades low
+                    // that exhausts Newton and lands in the bisection.
+                    for seed in [1.3 * t, 1e6, 1e-20] {
+                        let ts = eos.t_from_e(rho, e, comp, seed);
+                        let (tg, evals) = generic_newton(&eos, rho, e, comp, seed);
+                        assert_eq!(
+                            ts.to_bits(),
+                            tg.to_bits(),
+                            "rho={rho:e} T={t:e} seed={seed:e}: {ts:e} vs {tg:e}"
+                        );
+                        if evals > 50 {
+                            bisected += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(bisected > 0, "no case reached the bisection fallback");
     }
 
     #[test]
