@@ -28,6 +28,24 @@ assert r['correct'] is True, r
 print('perfbench $w: correct, %d attempted, %d failed' % (r['attempted'], r['failed']))
 "
 done
+# A traced Sedov run pins the exchange volume: each sweep moves only the
+# two ghost slabs along its own direction (32³ on 8³ boxes, two ranks, 9
+# components). A change that widens the halo again, or adds or drops
+# graph tasks, fails here.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload sedov --seed 1 --seconds 3 --trace 1 >/tmp/perfbench_sedov_trace.log
+tail -n 1 /tmp/perfbench_sedov_trace.log | python3 -c "
+import json, sys
+r = json.loads(sys.stdin.read())
+assert r['correct'] is True, r
+m = {k: v['value'] for k, v in r['metrics'].items()}
+want = {'amr.ghost.messages_per_step': 32,
+        'amr.ghost.bytes_per_step': 2654208,
+        'parallel.graph.tasks_per_step': 960}
+for k, v in want.items():
+    assert m[k] == v, f'{k}: {m[k]} != {v}'
+print('perfbench sedov trace: exchange and graph counts as pinned')
+"
 
 echo "== restart round-trip smoke =="
 # The survival demo kills itself mid-run three times, corrupts a

@@ -21,11 +21,47 @@
 use exastro_parallel::{IndexBox, IntVect, Real};
 use std::marker::PhantomData;
 
+/// The j, k and component strides of a component-major layout over a box,
+/// computed once when a fab or view is built so that an access costs one
+/// multiply-add per index instead of re-deriving the box size.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Strides {
+    lo: IntVect,
+    js: usize,
+    ks: usize,
+    cs: usize,
+}
+
+impl Strides {
+    fn new(bx: IndexBox) -> Self {
+        let s = bx.size();
+        let js = s.x() as usize;
+        let ks = js * s.y() as usize;
+        Strides {
+            lo: bx.lo(),
+            js,
+            ks,
+            cs: ks * s.z() as usize,
+        }
+    }
+
+    /// `c·cs + (i−lo) + (j−lo)·js + (k−lo)·ks`. The caller has checked that
+    /// `(i, j, k)` lies in the box, so every difference is non-negative.
+    #[inline]
+    fn offset(&self, i: i32, j: i32, k: i32, c: usize) -> usize {
+        c * self.cs
+            + (i - self.lo.x()) as usize
+            + (j - self.lo.y()) as usize * self.js
+            + (k - self.lo.z()) as usize * self.ks
+    }
+}
+
 /// A dense array over `bx` with `ncomp` components.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FArrayBox {
     bx: IndexBox,
     ncomp: usize,
+    strides: Strides,
     data: Vec<Real>,
 }
 
@@ -38,6 +74,7 @@ impl FArrayBox {
         FArrayBox {
             bx,
             ncomp,
+            strides: Strides::new(bx),
             data: vec![0.0; n],
         }
     }
@@ -62,7 +99,7 @@ impl FArrayBox {
     fn offset(&self, iv: IntVect, comp: usize) -> usize {
         debug_assert!(self.bx.contains(iv), "{iv:?} outside {:?}", self.bx);
         debug_assert!(comp < self.ncomp);
-        comp * self.bx.num_zones() as usize + self.bx.linear_index(iv)
+        self.strides.offset(iv.x(), iv.y(), iv.z(), comp)
     }
 
     /// Read one value.
@@ -80,7 +117,7 @@ impl FArrayBox {
 
     /// Set every value of component `comp` to `v`.
     pub fn set_val(&mut self, comp: usize, v: Real) {
-        let n = self.bx.num_zones() as usize;
+        let n = self.strides.cs;
         self.data[comp * n..(comp + 1) * n].fill(v);
     }
 
@@ -134,6 +171,7 @@ impl FArrayBox {
             data: &self.data,
             bx: self.bx,
             ncomp: self.ncomp,
+            strides: self.strides,
         }
     }
 
@@ -144,6 +182,7 @@ impl FArrayBox {
             len: self.data.len(),
             bx: self.bx,
             ncomp: self.ncomp,
+            strides: self.strides,
             _marker: PhantomData,
         }
     }
@@ -179,6 +218,7 @@ pub struct Array4<'a> {
     data: &'a [Real],
     bx: IndexBox,
     ncomp: usize,
+    strides: Strides,
 }
 
 impl<'a> Array4<'a> {
@@ -186,15 +226,23 @@ impl<'a> Array4<'a> {
     /// fab over `bx`. `data.len()` must equal `bx.num_zones() * ncomp`.
     pub fn from_slice(data: &'a [Real], bx: IndexBox, ncomp: usize) -> Self {
         assert_eq!(data.len(), bx.num_zones() as usize * ncomp);
-        Array4 { data, bx, ncomp }
+        Array4 {
+            data,
+            bx,
+            ncomp,
+            strides: Strides::new(bx),
+        }
     }
 
     #[inline]
     fn offset(&self, i: i32, j: i32, k: i32, c: usize) -> usize {
-        let iv = IntVect::new(i, j, k);
-        debug_assert!(self.bx.contains(iv), "({i},{j},{k}) outside {:?}", self.bx);
+        debug_assert!(
+            self.bx.contains(IntVect::new(i, j, k)),
+            "({i},{j},{k}) outside {:?}",
+            self.bx
+        );
         debug_assert!(c < self.ncomp);
-        c * self.bx.num_zones() as usize + self.bx.linear_index(iv)
+        self.strides.offset(i, j, k, c)
     }
 
     /// Value at `(i, j, k)` component `c`.
@@ -228,6 +276,7 @@ pub struct Array4Mut<'a> {
     len: usize,
     bx: IndexBox,
     ncomp: usize,
+    strides: Strides,
     _marker: PhantomData<&'a mut [Real]>,
 }
 
@@ -249,16 +298,20 @@ impl<'a> Array4Mut<'a> {
             len: data.len(),
             bx,
             ncomp,
+            strides: Strides::new(bx),
             _marker: PhantomData,
         }
     }
 
     #[inline]
     fn offset(&self, i: i32, j: i32, k: i32, c: usize) -> usize {
-        let iv = IntVect::new(i, j, k);
-        debug_assert!(self.bx.contains(iv), "({i},{j},{k}) outside {:?}", self.bx);
+        debug_assert!(
+            self.bx.contains(IntVect::new(i, j, k)),
+            "({i},{j},{k}) outside {:?}",
+            self.bx
+        );
         debug_assert!(c < self.ncomp);
-        let o = c * self.bx.num_zones() as usize + self.bx.linear_index(iv);
+        let o = self.strides.offset(i, j, k, c);
         debug_assert!(o < self.len);
         o
     }
@@ -305,6 +358,7 @@ impl<'a> Array4Mut<'a> {
 mod tests {
     use super::*;
     use exastro_parallel::{ExecSpace, TiledExec};
+    use proptest::prelude::*;
 
     #[test]
     fn fab_get_set_roundtrip() {
@@ -402,6 +456,42 @@ mod tests {
         arr.add(0, 0, 0, 0, 1.0);
         arr.add(0, 0, 0, 0, 2.5);
         assert_eq!(fab.get(IntVect::zero(), 0), 3.5);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The precomputed strides give the same offset as the box's own
+        /// `num_zones()·c + linear_index()` in all three views, including
+        /// boxes with negative `lo`.
+        #[test]
+        fn strided_offsets_match_linear_index(
+            lo in (-9i32..6, -9i32..6, -9i32..6),
+            size in (1i32..7, 1i32..7, 1i32..7),
+            ncomp in 1usize..4,
+        ) {
+            let lo = IntVect::new(lo.0, lo.1, lo.2);
+            let bx = IndexBox::new(lo, lo + IntVect::new(size.0, size.1, size.2) - IntVect::unit());
+            let n = bx.num_zones() as usize;
+            let mut fab = FArrayBox::new(bx, ncomp);
+            let mut raw = vec![0.0; n * ncomp];
+            for c in 0..ncomp {
+                for iv in bx.iter() {
+                    let expect = n * c + bx.linear_index(iv);
+                    prop_assert_eq!(fab.offset(iv, c), expect);
+                    prop_assert_eq!(fab.array().offset(iv.x(), iv.y(), iv.z(), c), expect);
+                    prop_assert_eq!(fab.array_mut().offset(iv.x(), iv.y(), iv.z(), c), expect);
+                    prop_assert_eq!(
+                        Array4::from_slice(&raw, bx, ncomp).offset(iv.x(), iv.y(), iv.z(), c),
+                        expect
+                    );
+                    prop_assert_eq!(
+                        Array4Mut::from_slice(&mut raw, bx, ncomp).offset(iv.x(), iv.y(), iv.z(), c),
+                        expect
+                    );
+                }
+            }
+        }
     }
 
     #[test]

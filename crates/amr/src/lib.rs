@@ -43,7 +43,8 @@ pub use hierarchy::{fill_patch_two_levels, AmrLevel, Hierarchy};
 pub use interp::{average_down, prolong_lin, prolong_pc};
 pub use io::{read_checkpoint, write_checkpoint, Checkpoint, IoError};
 pub use multifab::{
-    BcKind, BcSpec, CommTrace, HaloDep, HaloGraph, HaloStage, Message, MultiFab, PendingComm,
+    BcKind, BcSpec, CommTrace, GhostShape, HaloDep, HaloGraph, HaloStage, Message, MultiFab,
+    PendingComm,
 };
 
 // Re-export the index primitives so downstream crates have one import path.

@@ -62,6 +62,27 @@ impl CommTrace {
     }
 }
 
+/// Which ghost zones of each fab an exchange fills.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GhostShape {
+    /// The whole halo: the valid box grown by `ngrow` in every direction,
+    /// edges and corners included.
+    Full,
+    /// Only the two slabs along direction `d`, `vb.grow_dir(d, ngrow) \ vb`:
+    /// all that a dimensionally split sweep along `d` reads.
+    Slabs(usize),
+}
+
+impl GhostShape {
+    /// The box whose ghost zones (those outside `vb`) this shape fills.
+    fn fill_box(self, vb: IndexBox, ngrow: i32) -> IndexBox {
+        match self {
+            GhostShape::Full => vb.grow(ngrow),
+            GhostShape::Slabs(d) => vb.grow_dir(d, ngrow),
+        }
+    }
+}
+
 /// One planned ghost-zone copy: fill `region` (destination index space) of
 /// fab `dst` from fab `src`, reading `iv - shift` (periodic image shift).
 #[derive(Clone, Copy, Debug)]
@@ -103,6 +124,7 @@ pub struct PendingComm {
     ba: BoxArray,
     ncomp: usize,
     ngrow: i32,
+    shape: GhostShape,
 }
 
 impl PendingComm {
@@ -244,17 +266,18 @@ pub struct HaloGraph {
 }
 
 impl HaloGraph {
-    /// Plan `mf`'s ghost exchange and build its graph: pack and unpack
-    /// tasks with sender edges, then `stages`, then (unless `overlap`) the
-    /// barrier.
+    /// Plan `mf`'s ghost exchange for the ghost zones `shape` covers and
+    /// build its graph: pack and unpack tasks with sender edges, then
+    /// `stages`, then (unless `overlap`) the barrier.
     pub fn new(
         mf: &MultiFab,
         geom: &Geometry,
+        shape: GhostShape,
         stages: &'static [HaloStage],
         overlap: bool,
     ) -> Self {
         let n = mf.nfabs();
-        let pending = mf.plan_fill_boundary(geom);
+        let pending = mf.plan_fill_boundary(geom, shape);
         let mut packs_of: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut senders_of: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (o, op) in pending.ops.iter().enumerate() {
@@ -313,8 +336,9 @@ impl HaloGraph {
 
     /// Run the graph on the global pool under `label` and return the
     /// exchange's trace. Pack tasks read fab f's valid zones through
-    /// `views[f]`; unpack tasks write its ghosts there and apply `bc`;
-    /// `compute(stage, f)` runs every stage task.
+    /// `views[f]`; unpack tasks write its ghosts there and apply `bc` to
+    /// the ghost zones of the planned shape; `compute(stage, f)` runs every
+    /// stage task.
     pub fn run<F: Fn(usize, usize) + Sync>(
         self,
         label: &str,
@@ -348,7 +372,8 @@ impl HaloGraph {
                     HaloTask::Unpack(f) => {
                         let v = &views[f];
                         pend.unpack_fab(f, |iv, c, x| v.set(iv.x(), iv.y(), iv.z(), c, x));
-                        apply_physical_bc(v, geom, bc);
+                        let fill = pend.shape.fill_box(pend.ba.get(f), pend.ngrow);
+                        apply_physical_bc(v, fill, geom, bc);
                     }
                     HaloTask::Stage(s, f) => compute(s, f),
                     HaloTask::Barrier => {}
@@ -601,21 +626,22 @@ impl MultiFab {
         self.post_fill_boundary(geom).wait(self)
     }
 
-    /// Plan the ghost exchange without moving any data: compute the copy
-    /// ops, allocate (empty) pack buffers, and price the traffic. The
-    /// returned [`PendingComm`] carries the partial [`CommTrace`].
+    /// Plan the ghost exchange of the zones `shape` covers without moving
+    /// any data: compute the copy ops, allocate (empty) pack buffers, and
+    /// price the traffic. The returned [`PendingComm`] carries the partial
+    /// [`CommTrace`].
     ///
     /// [`HaloGraph`] stages the planned ops as graph tasks; plain two-phase
     /// callers want [`MultiFab::post_fill_boundary`].
     #[must_use = "the plan holds the exchange state; wait() or finish() it"]
-    fn plan_fill_boundary(&self, geom: &Geometry) -> PendingComm {
+    fn plan_fill_boundary(&self, geom: &Geometry, shape: GhostShape) -> PendingComm {
         let _prof = Profiler::region("fill_boundary");
         let mut ops = Vec::new();
         if self.ngrow > 0 {
             let shifts = geom.periodic_shifts();
             for dst in 0..self.fabs.len() {
-                let gbox = self.grown_box(dst);
                 let vbox = self.ba.get(dst);
+                let fill = shape.fill_box(vbox, self.ngrow);
                 for src in 0..self.fabs.len() {
                     let svb = self.ba.get(src);
                     for &shift in &shifts {
@@ -623,7 +649,7 @@ impl MultiFab {
                             continue;
                         }
                         let image = svb.shift(shift);
-                        let isect = gbox.intersection(&image);
+                        let isect = fill.intersection(&image);
                         if isect.is_empty() {
                             continue;
                         }
@@ -680,6 +706,7 @@ impl MultiFab {
             ba: self.ba.clone(),
             ncomp,
             ngrow: self.ngrow,
+            shape,
         }
     }
 
@@ -690,7 +717,7 @@ impl MultiFab {
     /// unpacks the ghosts.
     #[must_use = "dropping a posted exchange loses the ghost fill; call wait()"]
     pub fn post_fill_boundary(&self, geom: &Geometry) -> PendingComm {
-        let pending = self.plan_fill_boundary(geom);
+        let pending = self.plan_fill_boundary(geom, GhostShape::Full);
         let fabs = &self.fabs;
         let pref = &pending;
         par_index_each(pending.ops.len(), pending.ops.len(), |o| {
@@ -707,7 +734,8 @@ impl MultiFab {
             return;
         }
         for i in 0..self.fabs.len() {
-            apply_physical_bc(&self.fabs[i].array_mut(), geom, bc);
+            let fill = self.grown_box(i);
+            apply_physical_bc(&self.fabs[i].array_mut(), fill, geom, bc);
         }
     }
 
@@ -822,17 +850,20 @@ impl MultiFab {
     }
 }
 
-/// Apply physical boundary conditions to one fab through a kernel view —
-/// the per-fab body of [`MultiFab::fill_physical_bc`], shared with the
-/// [`HaloGraph`] unpack tasks, which fold the physical fill into their own
-/// node (disjoint slots: each fab's BC only touches that fab's ghost zones).
+/// Apply physical boundary conditions to the ghost zones of `fill` (the
+/// fab's grown box, or the slab box of a [`GhostShape::Slabs`] exchange)
+/// through a kernel view — the per-fab body of
+/// [`MultiFab::fill_physical_bc`], shared with the [`HaloGraph`] unpack
+/// tasks, which fold the physical fill into their own node (disjoint
+/// slots: each fab's BC only touches that fab's ghost zones).
 ///
 /// Within one fab the writes are ordered (corner ghosts read zones filled by
 /// an earlier dimension's pass), so a task must call this serially, after
 /// the fab's ghost ops are unpacked — the same ordering the bulk-synchronous
-/// path uses.
-fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
-    let gbox = arr.index_box();
+/// path uses. A slab box reaches past the domain only along its own
+/// direction, and every slab zone there mirrors or copies a valid zone, so
+/// it gets the same bits as the full fill gives it.
+fn apply_physical_bc(arr: &Array4Mut<'_>, fill: IndexBox, geom: &Geometry, bc: &BcSpec) {
     let ncomp = arr.ncomp();
     let domain = geom.domain();
     for d in 0..SPACEDIM {
@@ -841,21 +872,21 @@ fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
             if kind == BcKind::Periodic || geom.periodic()[d] {
                 continue;
             }
-            // Ghost region beyond this domain face, clipped to gbox.
+            // Ghost region beyond this domain face, clipped to fill.
             let region = if side == 0 {
-                if gbox.lo()[d] >= domain.lo()[d] {
+                if fill.lo()[d] >= domain.lo()[d] {
                     continue;
                 }
-                let mut hi = gbox.hi();
+                let mut hi = fill.hi();
                 hi[d] = domain.lo()[d] - 1;
-                IndexBox::new(gbox.lo(), hi)
+                IndexBox::new(fill.lo(), hi)
             } else {
-                if gbox.hi()[d] <= domain.hi()[d] {
+                if fill.hi()[d] <= domain.hi()[d] {
                     continue;
                 }
-                let mut lo = gbox.lo();
+                let mut lo = fill.lo();
                 lo[d] = domain.hi()[d] + 1;
-                IndexBox::new(lo, gbox.hi())
+                IndexBox::new(lo, fill.hi())
             };
             if region.is_empty() {
                 continue;
@@ -885,10 +916,10 @@ fn apply_physical_bc(arr: &Array4Mut<'_>, geom: &Geometry, bc: &BcSpec) {
                     }
                     // Transverse corner zones may still be outside
                     // the fab's coverage after mirroring; clamp to
-                    // the grown box (those zones were filled by the
+                    // the fill box (those zones were filled by the
                     // pass over their own dimension).
                     for t in 0..SPACEDIM {
-                        siv[t] = siv[t].clamp(gbox.lo()[t], gbox.hi()[t]);
+                        siv[t] = siv[t].clamp(fill.lo()[t], fill.hi()[t]);
                     }
                     if siv == iv {
                         continue;
@@ -1104,7 +1135,7 @@ mod tests {
             for overlap in [true, false] {
                 let mut mf = reference.clone();
                 let n = mf.nfabs();
-                let halo = HaloGraph::new(&mf, &geom, &STAGES, overlap);
+                let halo = HaloGraph::new(&mf, &geom, GhostShape::Full, &STAGES, overlap);
                 assert!(!halo.pending.ops.is_empty());
                 if overlap {
                     assert_eq!(halo.graph.len(), 4 * n);
@@ -1131,6 +1162,73 @@ mod tests {
                 assert_eq!(t.messages, trace.messages);
                 assert_eq!(t.local_bytes, trace.local_bytes);
             }
+        }
+    }
+
+    #[test]
+    fn slab_halo_fills_only_its_direction_slabs() {
+        // A slab-shaped exchange writes exactly the ghost zones of
+        // vb.grow_dir(d, 2) \ vb, with the bits the one-shot full fill plus
+        // physical BC put there; every other ghost keeps its sentinel and
+        // the trace prices only the slab zones the exchange copies.
+        const STAGES: [HaloStage; 1] = [HaloStage {
+            name: "a",
+            after: &[HaloDep::Unpack],
+        }];
+        const SENTINEL: Real = -7.25;
+        let bc = BcSpec::outflow();
+        for periodic in [true, false] {
+            let geom = Geometry::cube(16, 1.0, periodic);
+            let ba = BoxArray::decompose(geom.domain(), 8, 8);
+            let dm = DistributionMapping::new(&ba, 2, DistStrategy::Sfc);
+            let mut reference = MultiFab::new(ba, dm, 2, 2);
+            reference.set_val_all(SENTINEL);
+            fill_linear(&mut reference);
+            let mut full = reference.clone();
+            let _ = full.fill_boundary(&geom);
+            full.fill_physical_bc(&geom, &bc);
+            let mut messages = 0;
+            for d in 0..SPACEDIM {
+                for overlap in [true, false] {
+                    let mut mf = reference.clone();
+                    let halo = HaloGraph::new(&mf, &geom, GhostShape::Slabs(d), &STAGES, overlap);
+                    let views = mf.fab_views_mut();
+                    let trace = halo.run("test.slab", &views, &geom, &bc, |_, _| {});
+                    drop(views);
+                    let mut copied = 0u64;
+                    for i in 0..mf.nfabs() {
+                        let vb = mf.valid_box(i);
+                        let slab = vb.grow_dir(d, 2);
+                        for iv in mf.grown_box(i).iter().filter(|iv| !vb.contains(*iv)) {
+                            let in_slab = slab.contains(iv);
+                            for c in 0..2 {
+                                let want = if in_slab {
+                                    full.fab(i).get(iv, c)
+                                } else {
+                                    SENTINEL
+                                };
+                                assert_eq!(
+                                    mf.fab(i).get(iv, c).to_bits(),
+                                    want.to_bits(),
+                                    "d {d} periodic {periodic} overlap {overlap} fab {i} {iv:?} c {c}"
+                                );
+                            }
+                            // Slab zones past a non-periodic face come from
+                            // the physical BC, not the exchange.
+                            if in_slab && (periodic || geom.domain().contains(iv)) {
+                                copied += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(
+                        trace.network_bytes() + trace.local_bytes,
+                        copied * 2 * 8,
+                        "d {d} periodic {periodic} overlap {overlap}"
+                    );
+                    messages += trace.messages.len();
+                }
+            }
+            assert!(messages > 0, "the two ranks must exchange along some d");
         }
     }
 

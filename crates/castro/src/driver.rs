@@ -221,16 +221,16 @@ impl<'a> Castro<'a> {
         let floors = self.hydro.floors;
         let species = self.net.species();
         let eos = self.eos;
-        const MAX_COMP: usize = 40;
         assert!(
-            ncomp <= MAX_COMP,
-            "{ncomp} state components exceed {MAX_COMP}"
+            ncomp <= StateLayout::MAX_COMP,
+            "{ncomp} state components exceed {}",
+            StateLayout::MAX_COMP
         );
         let vbs: Vec<IndexBox> = (0..state.nfabs()).map(|i| state.valid_box(i)).collect();
         let views = state.fab_views_mut();
         par_index_each(views.len(), usize::MAX, |f| {
             let v = &views[f];
-            let (mut u, mut x) = ([0.0; MAX_COMP], [0.0; MAX_COMP]);
+            let (mut u, mut x) = ([0.0; StateLayout::MAX_COMP], [0.0; StateLayout::MAX_SPEC]);
             for iv in vbs[f].iter() {
                 let (i, j, k) = (iv.x(), iv.y(), iv.z());
                 for c in 0..ncomp {
@@ -538,6 +538,8 @@ impl<'a> Castro<'a> {
             let fgeom = &hier.level(l).geom;
             let cdx = cgeom.dx();
             let fdx = fgeom.dx();
+            // One face-flux buffer, reused by both loops.
+            let mut f = vec![0.0; self.layout.ncomp()];
             // Coarse fluxes on interface faces.
             for sweep in &fluxes_per_level[l - 1] {
                 let d = sweep.dim;
@@ -545,7 +547,6 @@ impl<'a> Castro<'a> {
                     let fb = fab.index_box();
                     for iv in fb.iter() {
                         if fr.is_interface(d, iv) {
-                            let mut f = vec![0.0; self.layout.ncomp()];
                             for (c, fc) in f.iter_mut().enumerate() {
                                 *fc = fab.get(iv, c);
                             }
@@ -566,7 +567,6 @@ impl<'a> Castro<'a> {
                         // Only faces on the coarse-fine interface matter;
                         // fine_add maps to the parent coarse face and
                         // ignores non-interface faces.
-                        let mut f = vec![0.0; self.layout.ncomp()];
                         for (c, fc) in f.iter_mut().enumerate() {
                             *fc = fab.get(iv, c);
                         }

@@ -32,6 +32,12 @@
 //! valid box, and `band` stages slopes over the valid box grown by one
 //! along the sweep and computes every face flux.
 //!
+//! A split sweep along `d` reads only the two 2-deep ghost slabs along `d`,
+//! never an edge or corner ghost. Each sweep's exchange therefore moves
+//! only those slabs ([`GhostShape::Slabs`]), and its primitive scratch
+//! covers only `vb.grow_dir(d, 2)`. For an 8³ box that is 4.75× fewer
+//! ghost zones than the full 2-deep halo and 2.25× less scratch to zero.
+//!
 //! [`Hydro::overlap`] only chooses the edges. Bulk-synchronous stepping is
 //! the same graph plus one no-op barrier task that waits on every unpack
 //! and gates every `interior`. The schedule is free to reorder; the results
@@ -47,11 +53,11 @@
 use crate::riemann::hllc;
 use crate::state::{cons_to_prim, Floors, Primitive, StateLayout};
 use exastro_amr::{
-    Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, HaloDep, HaloGraph, HaloStage, IndexBox,
-    IntVect, MultiFab,
+    Array4Mut, BcSpec, CommTrace, FArrayBox, Geometry, GhostShape, HaloDep, HaloGraph, HaloStage,
+    IndexBox, IntVect, MultiFab,
 };
 use exastro_microphysics::{Eos, Species};
-use exastro_parallel::{Arena, ExecSpace, KernelProfile, Real};
+use exastro_parallel::{par_map_fold, Arena, ExecSpace, KernelProfile, Real};
 
 /// Which loop structure the sweep kernels use (§III ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,7 +161,8 @@ fn band_faces(vb: IndexBox, dim: usize) -> Vec<IndexBox> {
 }
 
 /// The two ghost-zone slabs (2 deep along `dim`, valid extent transverse)
-/// whose primitives the band faces read. Transverse ghosts are *not*
+/// whose primitives the band faces read: exactly the zones the sweep's
+/// [`GhostShape::Slabs`] exchange fills. Transverse ghosts are *not*
 /// included: a dimensionally split sweep never reads them.
 fn ghost_slabs(vb: IndexBox, dim: usize) -> [IndexBox; 2] {
     let mut llo = vb.lo();
@@ -183,6 +190,18 @@ fn mc_slope(vm: Real, v0: Real, vp: Real) -> Real {
     }
 }
 
+/// The sweep kernels keep a zone's state and a face's traced species in
+/// fixed-size stack arrays; more species than they hold must fail loudly
+/// rather than alias the last slot.
+fn assert_species_bound(layout: &StateLayout) {
+    assert!(
+        layout.nspec <= StateLayout::MAX_SPEC,
+        "{} species exceed the hydro bound of {}",
+        layout.nspec,
+        StateLayout::MAX_SPEC
+    );
+}
+
 /// Registers-per-thread estimate for the flux kernel; the flat kernel holds
 /// two traced states plus slopes in thread-local storage.
 fn flux_kernel_profile(nspec: usize, structure: KernelStructure) -> KernelProfile {
@@ -198,7 +217,8 @@ fn flux_kernel_profile(nspec: usize, structure: KernelStructure) -> KernelProfil
 }
 
 impl Hydro {
-    /// CFL-limited timestep over all fabs.
+    /// CFL-limited timestep over all fabs. Each fab is one task on the
+    /// global worker pool; the per-fab limits fold in fab order.
     pub fn estimate_dt(
         &self,
         state: &MultiFab,
@@ -208,31 +228,36 @@ impl Hydro {
         geom: &Geometry,
         ex: &ExecSpace,
     ) -> Real {
+        assert_species_bound(layout);
         let dx = geom.dx();
-        let mut min_dt = Real::INFINITY;
-        for i in 0..state.nfabs() {
-            let vb = state.valid_box(i);
-            let fab = state.fab(i);
-            let arr = fab.array();
-            let ncomp = layout.ncomp();
-            let floors = self.floors;
-            let layout = *layout;
-            let max_speed = ex.par_reduce_max(vb, |i, j, k| {
-                let mut u = [0.0; 40];
-                for c in 0..ncomp {
-                    u[c] = arr.at(i, j, k, c);
+        let ncomp = layout.ncomp();
+        let floors = self.floors;
+        let layout = *layout;
+        let min_dt = par_map_fold(
+            state.nfabs(),
+            Real::INFINITY,
+            |f| {
+                let arr = state.fab(f).array();
+                let max_speed = ex.par_reduce_max(state.valid_box(f), |i, j, k| {
+                    let mut u = [0.0; StateLayout::MAX_COMP];
+                    for c in 0..ncomp {
+                        u[c] = arr.at(i, j, k, c);
+                    }
+                    let q = cons_to_prim(&u[..ncomp], &layout, eos, species, &floors);
+                    let mut s: Real = 0.0;
+                    for d in 0..3 {
+                        s = s.max((q.vel[d].abs() + q.cs) / dx[d] * dx[0]);
+                    }
+                    s
+                });
+                if max_speed > 0.0 {
+                    dx[0] / max_speed
+                } else {
+                    Real::INFINITY
                 }
-                let q = cons_to_prim(&u[..ncomp], &layout, eos, species, &floors);
-                let mut s: Real = 0.0;
-                for d in 0..3 {
-                    s = s.max((q.vel[d].abs() + q.cs) / dx[d] * dx[0]);
-                }
-                s
-            });
-            if max_speed > 0.0 {
-                min_dt = min_dt.min(dx[0] / max_speed);
-            }
-        }
+            },
+            Real::min,
+        );
         self.cfl * min_dt
     }
 
@@ -255,7 +280,7 @@ impl Hydro {
         let layout = *layout;
         let profile = KernelProfile::new(3.0, 180); // EOS Newton inversion is heavy
         ex.par_for_prof(region, &profile, |i, j, k| {
-            let mut u = [0.0; 40];
+            let mut u = [0.0; StateLayout::MAX_COMP];
             for c in 0..ncomp {
                 u[c] = sarr.at(i, j, k, c);
             }
@@ -345,9 +370,9 @@ impl Hydro {
         });
     }
 
-    /// One directional sweep as a [`HaloGraph`]: the ghost exchange is
-    /// staged as pack/unpack tasks and the sweep's kernels hang off it as
-    /// three per-fab stages (`n` = number of fabs):
+    /// One directional sweep as a [`HaloGraph`]: the ghost exchange of the
+    /// two slabs along `dim` is staged as pack/unpack tasks and the sweep's
+    /// kernels hang off it as three per-fab stages (`n` = number of fabs):
     ///
     /// | task        | Flat body                            | Legacy body                                     | depends on                       |
     /// |-------------|--------------------------------------|-------------------------------------------------|----------------------------------|
@@ -396,7 +421,9 @@ impl Hydro {
         let legacy = self.structure == KernelStructure::Legacy;
 
         let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
-        let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow(2)).collect();
+        // Primitives on the valid box and the two ghost slabs along the
+        // sweep: no face stencil reaches a transverse ghost.
+        let qregions: Vec<IndexBox> = vbs.iter().map(|vb| vb.grow_dir(dim, 2)).collect();
         let mut qbufs: Vec<_> = qregions
             .iter()
             .map(|r| arena.alloc(r.num_zones() as usize * nq))
@@ -420,7 +447,7 @@ impl Hydro {
         // Plan after the scratch allocations: planning first moved the flux
         // fabs on the heap and cost ~0.5 ms of allocator time per 32³ Sedov
         // step (measured on a 2-core x86-64 host).
-        let halo = HaloGraph::new(state, geom, &STAGES, self.overlap);
+        let halo = HaloGraph::new(state, geom, GhostShape::Slabs(dim), &STAGES, self.overlap);
         let trace = {
             let svs = state.fab_views_mut();
             let qvs: Vec<Array4Mut<'_>> = qbufs
@@ -521,6 +548,7 @@ impl Hydro {
         ex: &ExecSpace,
         arena: &dyn Arena,
     ) -> (Vec<SweepFluxes>, CommTrace) {
+        assert_species_bound(layout);
         let mut fluxes = Vec::with_capacity(3);
         let mut trace = CommTrace::default();
         for dim in 0..3 {
@@ -560,8 +588,8 @@ fn trace_pair(
 struct TracedState {
     /// Rotated primitive (`vel[0]` is the face normal).
     prim: Primitive,
-    /// Species mass fractions.
-    x: [Real; 16],
+    /// Species mass fractions (the first `nspec` slots).
+    x: [Real; StateLayout::MAX_SPEC],
 }
 
 /// Trace zone `z`'s state to its face at `side` (+0.5 = high face, −0.5 =
@@ -639,8 +667,8 @@ fn trace_one(
     // Approximate traced sound speed via frozen Γ₁.
     let gam1 = cs * cs * rho / p.max(1e-300);
     prim.cs = (gam1 * prim.p / prim.rho).sqrt();
-    let mut x = [0.0; 16];
-    for s in 0..nspec.min(16) {
+    let mut x = [0.0; StateLayout::MAX_SPEC];
+    for s in 0..nspec {
         let xv = at(z, Q::FS + s);
         let d_x = slope(Q::FS + s);
         x[s] = (xv + side * d_x + half * (-(un * d_x))).clamp(0.0, 1.0);
@@ -674,7 +702,7 @@ fn write_flux(
     farr.set(i, j, k, StateLayout::TEMP, 0.0);
     let xs = if f.upwind_left { &ql.x } else { &qr.x };
     for s in 0..layout.nspec {
-        farr.set(i, j, k, layout.spec(s), f.mass * xs[s.min(15)]);
+        farr.set(i, j, k, layout.spec(s), f.mass * xs[s]);
     }
     // Face normal velocity for the −p∇·u source: mass flux / upwind rho is
     // a decent contact-speed proxy, clamped to the local signal speed to
@@ -1021,6 +1049,30 @@ mod tests {
         assert!((state.sum(layout.spec(0)) / sp0 - 1.0).abs() < 1e-12);
         // Positivity throughout.
         assert!(state.min(StateLayout::RHO) > 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "17 species exceed the hydro bound of 16")]
+    fn more_species_than_the_bound_panic_instead_of_aliasing() {
+        // The face kernels hold species in MAX_SPEC stack slots; a 17th
+        // species used to take species 15's mass fraction in its flux.
+        let geom = Geometry::cube(8, 1.0, true);
+        let ba = BoxArray::decompose(geom.domain(), 8, 8);
+        let layout = StateLayout::new(StateLayout::MAX_SPEC + 1);
+        let mut state = MultiFab::local(ba, layout.ncomp(), 2);
+        state.set_val_all(1.0);
+        let net = CBurn2::new();
+        let _ = Hydro::default().advance(
+            &mut state,
+            1e-3,
+            &geom,
+            &layout,
+            &GammaLaw { gamma: 1.4 },
+            net.species(),
+            &BcSpec::periodic(),
+            &ExecSpace::Serial,
+            &PoolArena::new(None),
+        );
     }
 
     #[test]

@@ -32,6 +32,12 @@ impl StateLayout {
     pub const TEMP: usize = 6;
     /// First species partial density ρX₀.
     pub const FS: usize = 7;
+    /// Most species the solver carries: its per-zone and per-face scratch
+    /// is fixed-size stack storage of this length. `Hydro::advance` and
+    /// `Hydro::estimate_dt` assert it on entry.
+    pub const MAX_SPEC: usize = 16;
+    /// Most state components, `FS + MAX_SPEC`.
+    pub const MAX_COMP: usize = Self::FS + Self::MAX_SPEC;
 
     /// Create a layout for `nspec` species.
     pub fn new(nspec: usize) -> Self {
@@ -148,12 +154,12 @@ pub fn cons_to_prim(
 ) -> Primitive {
     let (rho, vel, e) = density_velocity_energy(u, floors);
     let inv = 1.0 / rho;
-    let mut x = [0.0; 32];
-    let n = layout.nspec.min(32);
-    for k in 0..n {
-        x[k] = (u[layout.spec(k)] * inv).clamp(0.0, 1.0);
+    let mut x = [0.0; StateLayout::MAX_SPEC];
+    let x = &mut x[..layout.nspec];
+    for (k, xk) in x.iter_mut().enumerate() {
+        *xk = (u[layout.spec(k)] * inv).clamp(0.0, 1.0);
     }
-    let comp = Composition::from_mass_fractions(species, &x[..n]);
+    let comp = Composition::from_mass_fractions(species, x);
     let t_guess = u[StateLayout::TEMP].max(floors.small_temp);
     let t = eos.t_from_e(rho, e, &comp, t_guess).max(floors.small_temp);
     let r = eos.eval_rt(rho, t, &comp);

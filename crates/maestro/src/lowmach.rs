@@ -13,8 +13,8 @@
 
 use crate::base_state::{rho_from_p_t, BaseState};
 use exastro_amr::{
-    Array4Mut, BcKind, BcSpec, CommTrace, Geometry, HaloDep, HaloGraph, HaloStage, IndexBox,
-    IntVect, MultiFab, Real, SPACEDIM,
+    Array4Mut, BcKind, BcSpec, CommTrace, Geometry, GhostShape, HaloDep, HaloGraph, HaloStage,
+    IndexBox, IntVect, MultiFab, Real, SPACEDIM,
 };
 use exastro_microphysics::{
     BurnFailure, BurnFaultConfig, BurnTally, BurnerConfig, Composition, Eos, Network, RetryLadder,
@@ -382,7 +382,7 @@ impl<'a> Maestro<'a> {
         ];
         let n = state.nfabs();
         let ncomp = self.layout.ncomp();
-        let halo = HaloGraph::new(state, geom, &STAGES, self.overlap);
+        let halo = HaloGraph::new(state, geom, GhostShape::Full, &STAGES, self.overlap);
         let mut old = state.clone();
         let vbs: Vec<IndexBox> = (0..n).map(|i| state.valid_box(i)).collect();
         let gbs: Vec<IndexBox> = (0..n).map(|i| state.grown_box(i)).collect();
